@@ -30,20 +30,19 @@ from .games import (
     ONE,
     TWO,
     CacheFormatError,
+    CdsGame,
     CdsState,
+    GcdsGame,
     GcdsState,
     SolveCache,
     cache_load,
     cache_save,
-    cds_terminal_winner,
-    gcds_terminal_winner,
     np_status,
     opponent,
     solve_cds,
     solve_gcds,
 )
 from .graphs import (
-    Graph,
     NotAnEdgeError,
     Position,
     apply_gcds,
@@ -56,6 +55,7 @@ from .jsonio import (
     graph_to_doc,
     move_to_doc,
     np_report_to_doc,
+    parse_label,
     perm_to_doc,
     report_to_doc,
 )
@@ -72,35 +72,15 @@ from .suites import SUITE_NAMES, run_suite
 __all__ = ["build_parser", "main"]
 
 
-def _parse_label(s: str):
-    if not s:
-        raise ParseError("empty vertex label")
-    return int(s) if s.isdigit() else s
-
-
 def _split_csv(text: str) -> list[str]:
     return [part for part in (text or "").split(",") if part != ""]
-
-
-def _favorable_vertices(text: str) -> frozenset:
-    return frozenset(_parse_label(part) for part in _split_csv(text))
-
-
-def _favorable_codes(text: str) -> frozenset:
-    codes = set()
-    for part in _split_csv(text):
-        try:
-            codes.add(int(part))
-        except ValueError:
-            raise ParseError(f"favorable code {part!r} is not an integer") from None
-    return frozenset(codes)
 
 
 def _parse_edge(text: str) -> tuple:
     parts = _split_csv(text)
     if len(parts) != 2:
         raise ParseError(f"expected two comma-separated labels, got {text!r}")
-    return (_parse_label(parts[0]), _parse_label(parts[1]))
+    return (parse_label(parts[0]), parse_label(parts[1]))
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -111,6 +91,22 @@ def _parse_pair(text: str) -> tuple[int, int]:
         return (int(parts[0]), int(parts[1]))
     except ValueError:
         raise ParseError(f"pointer codes must be integers, got {text!r}") from None
+
+
+def _position(args) -> Position:
+    graph = graph_from_file(args.graph)
+    return Position(graph, frozenset(parse_label(part) for part in _split_csv(args.favorable)))
+
+
+def _cds_state(args, mover: str) -> CdsState:
+    perm = parse_permutation(args.perm)
+    codes = set()
+    for part in _split_csv(args.favorable):
+        try:
+            codes.add(int(part))
+        except ValueError:
+            raise ParseError(f"favorable code {part!r} is not an integer") from None
+    return CdsState(perm, frozenset(codes), mover)
 
 
 def _load_cache(path: str | None) -> SolveCache:
@@ -211,55 +207,30 @@ def _cmd_gen_tight(args):
             "pile": list(strategic_pile(alpha))}, 0
 
 
-def _cmd_solve_gcds(args):
-    graph = graph_from_file(args.graph)
-    favorable = _favorable_vertices(args.favorable)
-    state = GcdsState(Position(graph, favorable), args.first)
+def _run_solver(args, solver, problem, to_doc):
+    """Solve under the --max-n and --cache options; the document gets a timing."""
     cache = _load_cache(args.cache)
+    bound = () if args.max_n is None else (args.max_n,)
     start = time.perf_counter()
-    if args.max_n is None:
-        report = solve_gcds(state, cache=cache)
-    else:
-        report = solve_gcds(state, cache=cache, max_vertices=args.max_n)
+    report = solver(problem, cache, *bound)
     elapsed = time.perf_counter() - start
     _store_cache(cache, args.cache)
-    doc = report_to_doc(report)
+    doc = to_doc(report)
     doc["timing"] = {"seconds": elapsed}
     return doc, 0
+
+
+def _cmd_solve_gcds(args):
+    state = GcdsState(_position(args), args.first)
+    return _run_solver(args, solve_gcds, state, report_to_doc)
 
 
 def _cmd_solve_cds(args):
-    perm = parse_permutation(args.perm)
-    favorable = _favorable_codes(args.favorable)
-    state = CdsState(perm, favorable, args.first)
-    cache = _load_cache(args.cache)
-    start = time.perf_counter()
-    if args.max_n is None:
-        report = solve_cds(state, cache=cache)
-    else:
-        report = solve_cds(state, cache=cache, max_n=args.max_n)
-    elapsed = time.perf_counter() - start
-    _store_cache(cache, args.cache)
-    doc = report_to_doc(report)
-    doc["timing"] = {"seconds": elapsed}
-    return doc, 0
+    return _run_solver(args, solve_cds, _cds_state(args, args.first), report_to_doc)
 
 
 def _cmd_solve_np(args):
-    graph = graph_from_file(args.graph)
-    favorable = _favorable_vertices(args.favorable)
-    cache = _load_cache(args.cache)
-    start = time.perf_counter()
-    if args.max_n is None:
-        report = np_status(Position(graph, favorable), cache=cache)
-    else:
-        report = np_status(Position(graph, favorable), cache=cache,
-                           max_vertices=args.max_n)
-    elapsed = time.perf_counter() - start
-    _store_cache(cache, args.cache)
-    doc = np_report_to_doc(report)
-    doc["timing"] = {"seconds": elapsed}
-    return doc, 0
+    return _run_solver(args, np_status, _position(args), np_report_to_doc)
 
 
 def _cmd_verify(args):
@@ -297,82 +268,37 @@ def _cmd_play(args):
     if (args.perm is None) == (args.graph is None):
         raise ParseError("play needs exactly one of --perm or --graph")
     cache = _load_cache(args.cache)
-    human = args.human
-    transcript = []
-
     if args.perm is not None:
-        perm = parse_permutation(args.perm)
-        favorable = _favorable_codes(args.favorable)
-        CdsState(perm, favorable, ONE)  # validates the favorable codes
-        mover = ONE
-        while True:
-            moves = sorted(legal_moves(perm))
-            if not moves:
-                winner = cds_terminal_winner(perm, favorable)
-                break
-            if mover == human:
-                rendered = [f"{p},{q}" for p, q in moves]
-                while True:
-                    choice = _prompt(rendered)
-                    if choice in rendered:
-                        move = moves[rendered.index(choice)]
-                        break
-                    print(f"  {choice!r} is not a legal move", file=sys.stderr)
-            else:
-                report = solve_cds(CdsState(perm, favorable, mover), cache=cache)
-                move = report.principal_variation[0]
-                if report.winner == mover:
-                    after = solve_cds(
-                        CdsState(apply_cds(perm, *move), favorable, opponent(mover)),
-                        cache=cache,
-                    )
-                    assert after.winner == mover, "engine left a won game"
-                print(f"engine plays {move[0]},{move[1]}", file=sys.stderr)
-            transcript.append({"mover": mover, "move": move_to_doc(move)})
-            perm = apply_cds(perm, *move)
-            mover = opponent(mover)
-        final = {"perm": perm_to_doc(perm)}
-        game = "cds"
+        root = _cds_state(args, ONE)
+        state, game, name = root.perm, CdsGame(root.favorable), "cds"
     else:
-        graph = graph_from_file(args.graph)
-        favorable = _favorable_vertices(args.favorable)
-        position = Position(graph, favorable & graph.vertices)
-        mover = ONE
-        while True:
-            moves = position.graph.edge_list()
-            if not moves:
-                winner = gcds_terminal_winner(position)
-                break
-            if mover == human:
-                rendered = [f"{a},{b}" for a, b in moves]
-                while True:
-                    choice = _prompt(rendered)
-                    if choice in rendered:
-                        move = moves[rendered.index(choice)]
-                        break
-                    print(f"  {choice!r} is not a legal move", file=sys.stderr)
-            else:
-                report = solve_gcds(GcdsState(position, mover), cache=cache)
-                move = report.principal_variation[0]
-                if report.winner == mover:
-                    child = apply_gcds2(position.graph, move)
-                    after = solve_gcds(
-                        GcdsState(Position(child, position.favorable & child.vertices),
-                                  opponent(mover)),
-                        cache=cache,
-                    )
-                    assert after.winner == mover, "engine left a won game"
-                print(f"engine plays {move[0]},{move[1]}", file=sys.stderr)
-            transcript.append({"mover": mover, "move": move_to_doc(move)})
-            child = apply_gcds2(position.graph, move)
-            position = Position(child, position.favorable & child.vertices)
-            mover = opponent(mover)
-        final = graph_to_doc(position.graph)
-        game = "gcds"
+        root = _position(args)
+        state, game, name = root.graph, GcdsGame(root.favorable), "gcds"
+
+    transcript = []
+    mover = ONE
+    while (winner := game.outcome(state)) is None:
+        successors = dict(game.moves(state))
+        if mover == args.human:
+            rendered = {f"{a},{b}": (a, b) for a, b in successors}
+            while (choice := _prompt(list(rendered))) not in rendered:
+                print(f"  {choice!r} is not a legal move", file=sys.stderr)
+            move = rendered[choice]
+        else:
+            report = game.solve(state, mover, cache)
+            move = report.principal_variation[0]
+            if report.winner == mover:
+                after = game.solve(successors[move], opponent(mover), cache)
+                assert after.winner == mover, "engine left a won game"
+            print(f"engine plays {move[0]},{move[1]}", file=sys.stderr)
+        transcript.append({"mover": mover, "move": move_to_doc(move)})
+        state = successors[move]
+        mover = opponent(mover)
 
     _store_cache(cache, args.cache)
-    doc = {"game": game, "human": human, "winner": winner,
-           "human_won": winner == human, "moves": transcript, "final": final}
+    final = {"perm": perm_to_doc(state)} if name == "cds" else graph_to_doc(state)
+    doc = {"game": name, "human": args.human, "winner": winner,
+           "human_won": winner == args.human, "moves": transcript, "final": final}
     return doc, 0
 
 
@@ -470,27 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = groups.add_parser("solve", help="perfect-play solving").add_subparsers(
         dest="sub", required=True)
-    p = solve.add_parser("gcds", parents=[shared], help="solve a graph game state")
+    # Options shared by the three solvers and play.
+    solving = argparse.ArgumentParser(add_help=False, parents=[shared])
+    solving.add_argument("--favorable", default="",
+                         help="comma-separated vertex labels or fixed-point codes")
+    solving.add_argument("--cache", default=None, help="cache file to read and update")
+    p = solve.add_parser("gcds", parents=[solving], help="solve a graph game state")
     p.add_argument("--graph", required=True)
-    p.add_argument("--favorable", default="", help="comma-separated labels")
     p.add_argument("--first", choices=(ONE, TWO), default=ONE)
-    p.add_argument("--cache", default=None, help="cache file to read and update")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="state size bound override")
+    p.add_argument("--max-n", type=int, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_gcds)
-    p = solve.add_parser("cds", parents=[shared], help="solve a permutation game state")
+    p = solve.add_parser("cds", parents=[solving], help="solve a permutation game state")
     p.add_argument("--perm", required=True)
-    p.add_argument("--favorable", default="", help="comma-separated codes")
     p.add_argument("--first", choices=(ONE, TWO), default=ONE)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_cds)
-    p = solve.add_parser("np", parents=[shared],
+    p = solve.add_parser("np", parents=[solving],
                          help="classify a position for both opening movers")
     p.add_argument("--graph", required=True)
-    p.add_argument("--favorable", default="")
-    p.add_argument("--cache", default=None)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_np)
 
     p = groups.add_parser("verify", parents=[shared], help="run verification suites")
@@ -503,14 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan independent batch work across processes")
     p.set_defaults(handler=_cmd_verify)
 
-    p = groups.add_parser("play", parents=[shared],
+    p = groups.add_parser("play", parents=[solving],
                           help="play against the exact solver")
     p.add_argument("--perm", default=None)
     p.add_argument("--graph", default=None)
-    p.add_argument("--favorable", default="")
     p.add_argument("--human", choices=(ONE, TWO), default=ONE,
                    help="which mover the human controls")
-    p.add_argument("--cache", default=None)
     p.set_defaults(handler=_cmd_play)
 
     cache = groups.add_parser("cache", help="cache file utilities").add_subparsers(

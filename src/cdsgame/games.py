@@ -10,16 +10,25 @@ Both games alternate moves between players ONE and TWO until no move remains.
   when the graph is edgeless.  ONE wins when the surviving vertex set is
   nonempty and contained in A.
 
-Solving is plain win/loss search over the exact labelled state with
-memoisation; no symmetry reduction is applied, so cache keys are reproducible
-strings and can be persisted to disk and reloaded across runs.  The principal
-variation always plays the least winning move for the side to move (least
-move at all in lost positions), and every solve replays its variation and
-asserts the terminal agrees with the reported winner.
+Both games are finite alternating win/loss games, and one engine solves
+them.  A game object (CdsGame, GcdsGame) holds the favorable set, takes a
+bare Permutation or Graph as the state and supplies what the engine reads:
+``key(state, mover)``, ``outcome(state)`` (the winner at a terminal, else
+None), ``moves(state)`` (the memoised ``(move, child)`` tuple) and
+``variant(state, depth)`` (a natural number every move lowers); its
+``solve(state, mover, cache)`` is the size-checked public solver.  The search
+is negamax with memoisation over the exact labelled state; no symmetry
+reduction is applied, so cache keys are reproducible strings and can be
+persisted to disk and reloaded across runs.  The principal variation always
+plays the least winning move for the side to move (least move at all in
+lost positions), and every solve asserts that its terminal agrees with the
+reported winner.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +48,8 @@ __all__ = [
     "opponent",
     "GcdsState",
     "CdsState",
+    "CdsGame",
+    "GcdsGame",
     "SolveReport",
     "NpReport",
     "SolveCache",
@@ -187,14 +198,27 @@ _CACHE_VERSION = 1
 
 
 def cache_save(cache: SolveCache, path) -> None:
-    """Write header plus one ``key<TAB>winner`` line per entry, keys sorted."""
+    """Write header plus one ``key<TAB>winner`` line per entry, keys sorted.
+
+    The lines go to a temporary file beside ``path``, which then replaces
+    ``path`` in one step, so a failed save leaves the earlier file whole.
+    """
     lines = [f"{_CACHE_MAGIC} {_CACHE_VERSION}\n"]
     for key, winner in sorted(cache.items()):
         assert winner in (ONE, TWO)
         assert "\t" not in key and "\n" not in key
         lines.append(f"{key}\t{winner}\n")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.writelines(lines)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def cache_load(path) -> SolveCache:
@@ -265,9 +289,58 @@ def _cds_successors(perm: Permutation) -> tuple:
     )
 
 
-def _active_count(graph: Graph) -> int:
-    return graph.n_vertices() - len(graph.isolated_vertices())
+# ---------------------------------------------------------------------------
+# The two games, as objects of the protocol the engine reads.
 
+@dataclass(frozen=True)
+class CdsGame:
+    """CDS(alpha, A) with favorable codes A; states are permutations."""
+
+    favorable: frozenset
+
+    def key(self, perm: Permutation, mover: str) -> str:
+        return perm_state_key(perm, self.favorable, mover)
+
+    def outcome(self, perm: Permutation) -> str | None:
+        return cds_terminal_winner(perm, self.favorable) if is_fixed_point(perm) else None
+
+    moves = staticmethod(_cds_successors)
+
+    def variant(self, perm: Permutation, depth: int) -> int:
+        return perm.n - depth  # game length never exceeds n
+
+    def solve(self, perm: Permutation, mover: str, cache: SolveCache | None = None):
+        return solve_cds(CdsState(perm, self.favorable, mover), cache)
+
+
+@dataclass(frozen=True)
+class GcdsGame:
+    """GCDS(G, A) with favorable vertices A; a graph state is judged on A & V."""
+
+    favorable: frozenset
+
+    def key(self, graph: Graph, mover: str) -> str:
+        return graph_state_key(graph, self.favorable & graph.vertices, mover)
+
+    def outcome(self, graph: Graph) -> str | None:
+        if graph.edges:
+            return None
+        return gcds_terminal_winner(Position(graph, self.favorable & graph.vertices))
+
+    moves = staticmethod(_gcds_successors)
+
+    def variant(self, graph: Graph, depth: int) -> int:
+        # Taken per visited child, not in the successor memo: it builds the
+        # child's adjacency, which the memo would then hold for every child.
+        return graph.n_vertices() - len(graph.isolated_vertices())  # moves burn vertices
+
+    def solve(self, graph: Graph, mover: str, cache: SolveCache | None = None):
+        position = Position(graph, self.favorable & graph.vertices)
+        return solve_gcds(GcdsState(position, mover), cache)
+
+
+# ---------------------------------------------------------------------------
+# The search engine: negamax with a memo, then the principal variation.
 
 @dataclass
 class _Stats:
@@ -275,53 +348,52 @@ class _Stats:
     hits: int = 0
 
 
-# ---------------------------------------------------------------------------
-# The gcds game.
-
-def _gcds_value(graph, favorable, mover, cache, stats) -> str:
-    key = graph_state_key(graph, favorable, mover)
-    hit = cache.get(key)
-    if hit is not None:
+def _value(game, state, mover: str, cache: SolveCache, stats: _Stats, depth: int = 0) -> str:
+    key = game.key(state, mover)
+    winner = cache.get(key)
+    if winner is not None:
         stats.hits += 1
-        return hit
+        return winner
     stats.expanded += 1
-    if not graph.edges:
-        winner = gcds_terminal_winner(Position(graph, favorable))
-    else:
+    winner = game.outcome(state)
+    if winner is None:
         winner = opponent(mover)
-        active = _active_count(graph)
-        for _move, child in _gcds_successors(graph):
-            assert _active_count(child) < active  # moves strictly burn vertices
-            value = _gcds_value(
-                child, favorable & child.vertices, opponent(mover), cache, stats
-            )
-            if value == mover:
+        bound = game.variant(state, depth)
+        for _move, child in game.moves(state):
+            assert 0 <= game.variant(child, depth + 1) < bound  # every move makes progress
+            if _value(game, child, opponent(mover), cache, stats, depth + 1) == mover:
                 winner = mover
                 break
     cache.put(key, winner)
     return winner
 
 
-def _gcds_variation(graph, favorable, mover, cache, stats):
-    pv = []
-    while graph.edges:
-        successors = _gcds_successors(graph)
-        pick = None
+def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
+    if cache is None:
+        cache = SolveCache()
+    stats = _Stats()
+    winner = _value(game, root, mover, cache, stats)
+    pv, state = [], root
+    while (final := game.outcome(state)) is None:
+        successors = game.moves(state)
         for move, child in successors:
-            value = _gcds_value(
-                child, favorable & child.vertices, opponent(mover), cache, stats
-            )
-            if value == mover:
-                pick = (move, child)
+            if _value(game, child, opponent(mover), cache, stats, len(pv) + 1) == mover:
                 break
-        if pick is None:
-            pick = successors[0]
-        pv.append(pick[0])
-        graph = pick[1]
-        favorable = favorable & graph.vertices
-        mover = opponent(mover)
-    return tuple(pv), Position(graph, favorable)
+        else:
+            move, child = successors[0]
+        pv.append(move)
+        state, mover = child, opponent(mover)
+    assert final == winner, "principal variation ends at the reported winner"
+    return SolveReport(
+        winner=winner,
+        principal_variation=tuple(pv),
+        nodes_expanded=stats.expanded,
+        cache_hits=stats.hits,
+    )
 
+
+# ---------------------------------------------------------------------------
+# Public solvers.
 
 def solve_gcds(
     state: GcdsState, cache: SolveCache | None = None, max_vertices: int = 16
@@ -332,19 +404,18 @@ def solve_gcds(
         raise SizeBoundError(
             f"gcds solver limited to {max_vertices} vertices, got {graph.n_vertices()}"
         )
-    if cache is None:
-        cache = SolveCache()
-    stats = _Stats()
-    favorable = state.position.favorable
-    winner = _gcds_value(graph, favorable, state.mover, cache, stats)
-    pv, final = _gcds_variation(graph, favorable, state.mover, cache, stats)
-    assert gcds_terminal_winner(final) == winner
-    return SolveReport(
-        winner=winner,
-        principal_variation=pv,
-        nodes_expanded=stats.expanded,
-        cache_hits=stats.hits,
-    )
+    return _solve(GcdsGame(state.position.favorable), graph, state.mover, cache)
+
+
+def solve_cds(
+    state: CdsState, cache: SolveCache | None = None, max_n: int = 10
+) -> SolveReport:
+    """Winner, principal variation, and search statistics for a cds game."""
+    if state.perm.n > max_n:
+        raise SizeBoundError(
+            f"cds solver limited to n <= {max_n}, got n = {state.perm.n}"
+        )
+    return _solve(CdsGame(state.favorable), state.perm, state.mover, cache)
 
 
 def np_status(
@@ -362,66 +433,3 @@ def np_status(
     else:
         status = None
     return NpReport(status=status, winner_one_first=first, winner_two_first=second)
-
-
-# ---------------------------------------------------------------------------
-# The cds game.
-
-def _cds_value(perm, favorable, mover, cache, stats, depth) -> str:
-    assert depth <= perm.n  # game length never exceeds n
-    key = perm_state_key(perm, favorable, mover)
-    hit = cache.get(key)
-    if hit is not None:
-        stats.hits += 1
-        return hit
-    stats.expanded += 1
-    if is_fixed_point(perm):
-        winner = cds_terminal_winner(perm, favorable)
-    else:
-        winner = opponent(mover)
-        for _move, child in _cds_successors(perm):
-            value = _cds_value(child, favorable, opponent(mover), cache, stats, depth + 1)
-            if value == mover:
-                winner = mover
-                break
-    cache.put(key, winner)
-    return winner
-
-
-def _cds_variation(perm, favorable, mover, cache, stats):
-    pv = []
-    while not is_fixed_point(perm):
-        successors = _cds_successors(perm)
-        pick = None
-        for move, child in successors:
-            if _cds_value(child, favorable, opponent(mover), cache, stats, 0) == mover:
-                pick = (move, child)
-                break
-        if pick is None:
-            pick = successors[0]
-        pv.append(pick[0])
-        perm = pick[1]
-        mover = opponent(mover)
-    return tuple(pv), perm
-
-
-def solve_cds(
-    state: CdsState, cache: SolveCache | None = None, max_n: int = 10
-) -> SolveReport:
-    """Winner, principal variation, and search statistics for a cds game."""
-    if state.perm.n > max_n:
-        raise SizeBoundError(
-            f"cds solver limited to n <= {max_n}, got n = {state.perm.n}"
-        )
-    if cache is None:
-        cache = SolveCache()
-    stats = _Stats()
-    winner = _cds_value(state.perm, state.favorable, state.mover, cache, stats, 0)
-    pv, final = _cds_variation(state.perm, state.favorable, state.mover, cache, stats)
-    assert cds_terminal_winner(final, state.favorable) == winner
-    return SolveReport(
-        winner=winner,
-        principal_variation=pv,
-        nodes_expanded=stats.expanded,
-        cache_hits=stats.hits,
-    )

@@ -58,11 +58,6 @@ def label_key(v: Label):
     return (1, 0, str(v))
 
 
-def _edge_key(edge: frozenset) -> tuple:
-    a, b = sorted(edge, key=label_key)
-    return (label_key(a), label_key(b))
-
-
 class Graph:
     """Immutable undirected simple graph (no loops, no multi-edges)."""
 

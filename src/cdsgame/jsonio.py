@@ -23,6 +23,7 @@ __all__ = [
     "graph_to_doc",
     "graph_from_doc",
     "graph_from_file",
+    "parse_label",
     "position_to_doc",
     "perm_to_doc",
     "move_to_doc",
@@ -32,20 +33,17 @@ __all__ = [
 ]
 
 
-def _render_label(v) -> str:
-    return str(v)
-
-
-def _parse_label(s):
+def parse_label(s):
+    """A vertex label from its text: ASCII decimal digits give an int, else the string."""
     if not isinstance(s, str) or not s:
         raise ParseError(f"vertex label must be a non-empty string, got {s!r}")
-    return int(s) if s.isdigit() else s
+    return int(s) if s.isascii() and s.isdigit() else s
 
 
 def graph_to_doc(g: Graph) -> dict[str, Any]:
     return {
-        "vertices": [_render_label(v) for v in g.vertex_list()],
-        "edges": [[_render_label(a), _render_label(b)] for a, b in g.edge_list()],
+        "vertices": [str(v) for v in g.vertex_list()],
+        "edges": [[str(a), str(b)] for a, b in g.edge_list()],
     }
 
 
@@ -55,14 +53,14 @@ def graph_from_doc(doc: Any) -> Graph:
     for field in ("vertices", "edges"):
         if field not in doc or not isinstance(doc[field], list):
             raise ParseError(f"graph document needs a {field!r} array")
-    vertices = [_parse_label(v) for v in doc["vertices"]]
+    vertices = [parse_label(v) for v in doc["vertices"]]
     if len(set(vertices)) != len(vertices):
         raise ParseError("duplicate vertex label")
     edges = []
     for item in doc["edges"]:
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"edge {item!r} is not a two-element array")
-        edges.append((_parse_label(item[0]), _parse_label(item[1])))
+        edges.append((parse_label(item[0]), parse_label(item[1])))
     try:
         return Graph(vertices, edges)
     except ValueError as exc:
@@ -86,7 +84,7 @@ def graph_from_file(path: str) -> Graph:
 
 def position_to_doc(position: Position) -> dict[str, Any]:
     doc = graph_to_doc(position.graph)
-    doc["favorable"] = [_render_label(v) for v in sorted(position.favorable, key=label_key)]
+    doc["favorable"] = [str(v) for v in sorted(position.favorable, key=label_key)]
     return doc
 
 
@@ -95,7 +93,7 @@ def perm_to_doc(perm: Permutation) -> list[int]:
 
 
 def move_to_doc(move) -> list[str]:
-    return [_render_label(v) for v in move]
+    return [str(v) for v in move]
 
 
 def report_to_doc(report: SolveReport) -> dict[str, Any]:

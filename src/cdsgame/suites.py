@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations as all_words
 
 from .cyclegraph import (
@@ -124,6 +123,9 @@ def _fan_out(worker, items: list, threads: int) -> list:
     """
     if threads <= 1 or len(items) < 2:
         return [worker(items)]
+    # Imported here so that importing the package does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     size = -(-len(items) // threads)
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
     with ProcessPoolExecutor(max_workers=threads) as pool:

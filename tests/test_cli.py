@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cdsgame
 from cdsgame.cli import main
 from cdsgame.jsonio import dump_document, graph_to_doc
 from cdsgame.families import gen_chain
@@ -222,3 +226,48 @@ def test_play_handles_eof(capsys, monkeypatch):
     code = main(["play", "--perm", "3 1 4 2 5", "--favorable", "2", "--human", "ONE"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2 and "error" in doc
+
+
+def test_play_graph_rejects_stray_favorable(capsys, tmp_path):
+    chain = write_graph(tmp_path, gen_chain(1))
+    code, doc = run_cli(capsys, "play", "--graph", chain, "--favorable", "2,9")
+    assert code == 2
+    assert doc["error"]["message"] == "favorable vertices [9] are not in the graph"
+
+
+def test_play_graph_engine_opens_and_wins(capsys, monkeypatch, tmp_path):
+    chain = write_graph(tmp_path, gen_chain(1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code = main(["play", "--graph", chain, "--favorable", "2", "--human", "TWO"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 0
+    assert doc == {"game": "gcds", "human": "TWO", "winner": "ONE", "human_won": False,
+                   "moves": [{"mover": "ONE", "move": ["1", "3"]}],
+                   "final": {"vertices": ["2"], "edges": []}}
+    assert captured.err == "engine plays 1,3\n"
+
+
+def test_play_graph_human_move_is_reprompted_until_legal(capsys, monkeypatch, tmp_path):
+    chain = write_graph(tmp_path, gen_chain(2))
+    monkeypatch.setattr("sys.stdin", io.StringIO("1,9\n1,2\n"))
+    code = main(["play", "--graph", chain, "--favorable", "2,4", "--human", "ONE"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 0
+    assert doc["moves"] == [{"mover": "ONE", "move": ["1", "2"]},
+                            {"mover": "TWO", "move": ["3", "4"]}]
+    assert doc["final"] == {"vertices": ["5"], "edges": []}
+    assert doc["winner"] == "TWO" and doc["human_won"] is False
+    prompt = "legal moves: 1,2  1,3  2,3  3,4  3,5  4,5\nyour move: "
+    assert captured.err == (prompt + "  '1,9' is not a legal move\n" + prompt
+                            + "engine plays 3,4\n")
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    src = os.path.dirname(os.path.dirname(cdsgame.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, cdsgame.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,12 +1,14 @@
 """Tests for the two game solvers and the solve cache."""
 
+import os
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdsgame.cyclegraph import SizeBoundError, strategic_pile
-from cdsgame.families import gen_chain, gen_favorable
+from cdsgame.families import gen_chain, gen_favorable, tight_instance
 from cdsgame.games import (
     ONE,
     TWO,
@@ -26,7 +28,7 @@ from cdsgame.games import (
     solve_gcds,
 )
 from cdsgame.graphs import Graph, Position, apply_gcds2
-from cdsgame.permutations import Permutation, apply_cds, identity
+from cdsgame.permutations import Permutation, apply_cds, identity, legal_moves
 
 
 REPLAY_GRAPH = Graph(
@@ -239,3 +241,111 @@ def test_cached_solves_cross_sessions(tmp_path):
 def test_gcds_favorable_outside_graph_is_rejected():
     with pytest.raises(ValueError):
         GcdsState(Position(gen_chain(1), frozenset({9})), ONE)
+
+
+def test_cache_save_failure_leaves_old_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "solve.tsv"
+    old = SolveCache()
+    old.put("G|1|||1", TWO)
+    cache_save(old, path)
+    before = path.read_bytes()
+    new = SolveCache()
+    new.put("G|2|||1", ONE)
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        cache_save(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["solve.tsv"]
+
+
+def _fields(report):
+    return (report.winner, report.principal_variation,
+            report.nodes_expanded, report.cache_hits)
+
+
+def test_solve_reports_are_pinned():
+    # Every field, search counts included, as the two per-game solvers that
+    # preceded the shared engine reported them.
+    alpha, favorable = tight_instance(8)
+    assert _fields(solve_cds(CdsState(alpha, favorable, ONE))) == (
+        ONE, ((5, 6), (1, 2), (3, 7)), 26, 40)
+    replay = GcdsState(Position(REPLAY_GRAPH, frozenset({1, 3, 5, 7})), ONE)
+    assert _fields(solve_gcds(replay)) == (ONE, ((1, 2), (3, 4), (5, 6)), 11, 13)
+    chain = GcdsState(Position(gen_chain(3), gen_favorable(3)), ONE)
+    cache = SolveCache()
+    assert _fields(solve_gcds(chain, cache=cache)) == (ONE, ((5, 6), (1, 2), (3, 7)), 27, 40)
+    assert _fields(solve_gcds(chain, cache=cache)) == (ONE, ((5, 6), (1, 2), (3, 7)), 0, 16)
+    small = CdsState(Permutation([2, 4, 1, 3]), frozenset({1}), TWO)
+    assert _fields(solve_cds(small)) == (TWO, ((1, 2),), 2, 1)
+    # The cache keys a solve leaves carry only the favorable vertices still alive.
+    cache = SolveCache()
+    solve_gcds(GcdsState(Position(gen_chain(2), frozenset({2, 4})), ONE), cache=cache)
+    assert sorted(cache.items()) == [
+        ("G|1,2,3,4,5|1-2,1-3,2-3,3-4,3-5,4-5|2,4|1", TWO),
+        ("G|1,2,3|1-2,1-3,2-3|2|2", TWO), ("G|1,2,4|1-2,1-4,2-4|2,4|2", TWO),
+        ("G|1,2,5|1-2,1-5,2-5|2|2", TWO), ("G|1,4,5|1-4,1-5,4-5|4|2", TWO),
+        ("G|1|||1", TWO), ("G|2,4,5|2-4,2-5,4-5|2,4|2", TWO), ("G|2||2|1", ONE),
+        ("G|3,4,5|3-4,3-5,4-5|4|2", TWO), ("G|3|||1", TWO), ("G|4||4|1", ONE),
+        ("G|5|||1", TWO),
+    ]
+
+
+# Plain uncached minimax, written from the rules of the two games.
+def _minimax_cds(perm, favorable, mover):
+    moves = sorted(legal_moves(perm))
+    if not moves:  # a fixed point: the identity, or the rotation with code e[0]-1
+        return ONE if perm.entries[0] - 1 in favorable else TWO
+    if any(_minimax_cds(apply_cds(perm, p, q), favorable, opponent(mover)) == mover
+           for p, q in moves):
+        return mover
+    return opponent(mover)
+
+
+def _minimax_gcds(graph, favorable, mover):
+    if not graph.edges:
+        alive = graph.vertices
+        return ONE if alive and alive <= favorable else TWO
+    for edge in graph.edge_list():
+        child = apply_gcds2(graph, edge)
+        if _minimax_gcds(child, favorable & child.vertices, opponent(mover)) == mover:
+            return mover
+    return opponent(mover)
+
+
+@st.composite
+def _cds_games(draw):
+    n = draw(st.integers(2, 6))
+    perm = Permutation(draw(st.permutations(range(1, n + 1))))
+    favorable = frozenset(draw(st.sets(st.integers(1, n - 1))))
+    return perm, favorable, draw(st.sampled_from((ONE, TWO)))
+
+
+@st.composite
+def _gcds_games(draw):
+    n = draw(st.integers(0, 6))
+    vertices = list(range(1, n + 1))
+    pairs = list(combinations(vertices, 2))
+    edges = [pair for pair, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    favorable = frozenset(draw(st.sets(st.sampled_from(vertices)))) if vertices else frozenset()
+    return Graph(vertices, edges), favorable, draw(st.sampled_from((ONE, TWO)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cds_games())
+def test_cds_engine_agrees_with_plain_minimax(game):
+    perm, favorable, mover = game
+    assert solve_cds(CdsState(perm, favorable, mover)).winner == _minimax_cds(
+        perm, favorable, mover)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcds_games())
+def test_gcds_engine_agrees_with_plain_minimax(game):
+    graph, favorable, mover = game
+    assert solve_gcds(GcdsState(Position(graph, favorable), mover)).winner == _minimax_gcds(
+        graph, favorable, mover)

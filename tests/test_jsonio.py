@@ -50,6 +50,15 @@ def test_digit_labels_become_ints():
     assert g == Graph([1, 2], [(1, 2)])
 
 
+def test_non_ascii_digit_labels_stay_strings():
+    # str.isdigit accepts "²" (which int() rejects) and "٣" (which int()
+    # reads as 3, so the label would come back as "3").
+    doc = {"vertices": ["²", "٣"], "edges": [["²", "٣"]]}
+    g = graph_from_doc(doc)
+    assert g == Graph(["²", "٣"], [("²", "٣")])
+    assert graph_to_doc(g) == doc
+
+
 def test_graph_from_doc_rejects_malformed_input():
     with pytest.raises(ParseError):
         graph_from_doc([])
