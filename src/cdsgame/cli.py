@@ -10,6 +10,8 @@ to exceed a solver size bound.
 from __future__ import annotations
 
 import argparse
+import fcntl
+import os
 import sys
 import time
 
@@ -109,17 +111,41 @@ def _cds_state(args, mover: str) -> CdsState:
     return CdsState(perm, frozenset(codes), mover)
 
 
-def _load_cache(path: str | None) -> SolveCache:
-    if path is None:
-        return SolveCache()
+def _file_stamp(path: str) -> tuple[int, int, int] | None:
     try:
-        return cache_load(path)
+        st = os.stat(path)
     except FileNotFoundError:
-        return SolveCache()
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-def _store_cache(cache: SolveCache, path: str | None) -> None:
-    if path is not None:
+def _load_cache(path: str | None) -> tuple[SolveCache, tuple[int, int, int] | None]:
+    """The cache at ``path`` (empty when absent) and the file stamp it was read at."""
+    if path is None:
+        return SolveCache(), None
+    stamp = _file_stamp(path)
+    try:
+        return cache_load(path), stamp
+    except FileNotFoundError:
+        return SolveCache(), None
+
+
+def _store_cache(cache: SolveCache, path: str | None,
+                 stamp: tuple[int, int, int] | None) -> None:
+    """Save ``cache`` to ``path``, first merging in what other processes saved.
+
+    Saves are serialised by an exclusive lock on ``<path>.lock``.  When the
+    file's stamp differs from the one ``_load_cache`` saw, another process
+    has written it since, so its entries are read back and merged; a
+    conflicting winner raises CacheFormatError.
+    """
+    if path is None:
+        return
+    with open(f"{path}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        current = _file_stamp(path)
+        if current is not None and current != stamp:
+            cache.merge(cache_load(path))
         cache_save(cache, path)
 
 
@@ -162,8 +188,8 @@ def _cmd_perm_sortable(args):
 
 def _cmd_perm_fixedpoints(args):
     perm = parse_permutation(args.perm)
-    bound = perm.n if args.max_n is None else args.max_n
-    reachable = achievable_fixed_points(perm, max_n=bound)
+    bound = () if args.max_n is None else (args.max_n,)
+    reachable = achievable_fixed_points(perm, *bound)
     codes = sorted(c for c in reachable if c is not None)
     return {"perm": perm_to_doc(perm), "codes": codes,
             "identity": None in reachable}, 0
@@ -209,12 +235,12 @@ def _cmd_gen_tight(args):
 
 def _run_solver(args, solver, problem, to_doc):
     """Solve under the --max-n and --cache options; the document gets a timing."""
-    cache = _load_cache(args.cache)
+    cache, stamp = _load_cache(args.cache)
     bound = () if args.max_n is None else (args.max_n,)
     start = time.perf_counter()
     report = solver(problem, cache, *bound)
     elapsed = time.perf_counter() - start
-    _store_cache(cache, args.cache)
+    _store_cache(cache, args.cache, stamp)
     doc = to_doc(report)
     doc["timing"] = {"seconds": elapsed}
     return doc, 0
@@ -267,7 +293,7 @@ def _prompt(moves: list[str]) -> str:
 def _cmd_play(args):
     if (args.perm is None) == (args.graph is None):
         raise ParseError("play needs exactly one of --perm or --graph")
-    cache = _load_cache(args.cache)
+    cache, stamp = _load_cache(args.cache)
     if args.perm is not None:
         root = _cds_state(args, ONE)
         state, game, name = root.perm, CdsGame(root.favorable), "cds"
@@ -295,7 +321,7 @@ def _cmd_play(args):
         state = successors[move]
         mover = opponent(mover)
 
-    _store_cache(cache, args.cache)
+    _store_cache(cache, args.cache, stamp)
     final = {"perm": perm_to_doc(state)} if name == "cds" else graph_to_doc(state)
     doc = {"game": name, "human": args.human, "winner": winner,
            "human_won": winner == args.human, "moves": transcript, "final": final}
@@ -310,11 +336,11 @@ def _cmd_cache_export(args):
 
 
 def _cmd_cache_import(args):
-    merged = _load_cache(args.cache)
+    merged, stamp = _load_cache(args.cache)
     added = 0
     for source in args.input:
         added += merged.merge(cache_load(source))
-    cache_save(merged, args.cache)
+    _store_cache(merged, args.cache, stamp)
     return {"path": args.cache, "entries": len(merged), "added": added,
             "sources": list(args.input)}, 0
 

@@ -94,7 +94,8 @@ class CdsState:
 
     def __post_init__(self):
         opponent(self.mover)
-        bad = [c for c in self.favorable if not (isinstance(c, int) and 1 <= c <= self.perm.n - 1)]
+        bad = [c for c in self.favorable
+               if isinstance(c, bool) or not (isinstance(c, int) and 1 <= c <= self.perm.n - 1)]
         if bad:
             raise ValueError(f"favorable codes {sorted(map(str, bad))} out of range 1..{self.perm.n - 1}")
 

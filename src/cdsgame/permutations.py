@@ -11,6 +11,19 @@ which the two values of each pointer sit adjacent in sorted order.  The
 move is undefined (raises :class:`NotApplicableError`) when the pointers do
 not interlock.
 
+Occurrences live on *slots*: the entry at 1-based position i has slot 2i on
+its left and slot 2i+1 on its right.  Pointer k thus spans the interval
+between slot 2·pos(k)+1 (head-right) and slot 2·pos(k+1) (tail-left); a
+slot's parity is its side and ``slot >> 1`` its position.  Head slots are
+odd and tail slots even, so the 2(n-1) slots are distinct, and their order
+is the (position, side) order of :func:`pointer_occurrences`.  Two pointers
+interlock exactly when their intervals cross, so the cds moves are the
+edges of a circle graph (Gavril 1973), the overlap graph of the word.
+:func:`legal_moves` lists them in one left-to-right sweep over the slots,
+and :func:`apply_cds` classifies a move from its four slots.
+:func:`interlocks` and :func:`pointer_occurrences` stay as the pairwise
+reference.
+
 Fixed points of cds are the permutations with no interlocking pointer pair:
 the identity and the n-1 rotations [k+1, ..., n, 1, ..., k].
 """
@@ -186,50 +199,41 @@ def interlocks(perm: Permutation, p: int, q: int) -> bool:
 
 
 def legal_moves(perm: Permutation) -> set[tuple[int, int]]:
-    """All unordered interlocking pointer pairs, as tuples (p, q) with p < q."""
+    """All unordered interlocking pointer pairs, as tuples (p, q) with p < q.
+
+    The pairs of crossing slot intervals, found in one sweep: reading the
+    word left to right visits the slots in order, the entry v carrying the
+    tail-left slot of pointer v-1, then the head-right slot of pointer v.
+    When a pointer's second slot is reached, the pointers opened after its
+    first slot and still open are exactly those it crosses.
+    """
     n = perm.n
-    moves = set()
-    for p in range(1, n):
-        for q in range(p + 1, n):
-            if interlocks(perm, p, q):
-                moves.add((p, q))
+    moves: set[tuple[int, int]] = set()
+    add = moves.add
+    opened: list[int] = []  # pointers with one slot passed, in order of that slot
+    for v in perm.entries:
+        for k in (v - 1, v):
+            if 0 < k < n:
+                if k in opened:
+                    i = opened.index(k)
+                    for q in opened[i + 1:]:
+                        add((k, q) if k < q else (q, k))
+                    del opened[i]
+                else:
+                    opened.append(k)
     return moves
 
 
-# The four interleaving cases, keyed by the side pattern of the occurrence
-# sequence (first-occurring pointer's sides in slots 0 and 2, the other's in
-# slots 1 and 3).  Every interlocking pair matches exactly one pattern since
-# each pointer contributes one head and one tail.
+# The four interleaving cases, keyed by the side pattern of the four
+# occurrences in order (the first-opening pointer's sides first and third,
+# the other's second and fourth).  Every interlocking pair matches exactly
+# one pattern since each pointer contributes one head and one tail.
 _CASE_SIDES = {
     (TAIL_LEFT, HEAD_RIGHT, HEAD_RIGHT, TAIL_LEFT): 1,
     (HEAD_RIGHT, HEAD_RIGHT, TAIL_LEFT, TAIL_LEFT): 2,
     (HEAD_RIGHT, TAIL_LEFT, TAIL_LEFT, HEAD_RIGHT): 3,
     (TAIL_LEFT, TAIL_LEFT, HEAD_RIGHT, HEAD_RIGHT): 4,
 }
-
-
-def _match_case(perm: Permutation, p: int, q: int) -> tuple[int, tuple[int, int, int, int]]:
-    """Classify the interleaving of p and q; return (case, sorted positions).
-
-    Fails loudly if the occurrence pattern matches zero or several case
-    templates, which would mean the case analysis is not exhaustive and
-    mutually exclusive.
-    """
-    occs = _merged_occurrences(perm, p, q)
-    owners = [owner for _, owner in occs]
-    if not (owners[0] == owners[2] and owners[0] != owners[1]):
-        raise NotApplicableError(
-            f"pointers {p} and {q} do not interlock in {list(perm.entries)}"
-        )
-    sides = tuple(o.side for o, _ in occs)
-    matches = [case for pattern, case in _CASE_SIDES.items() if pattern == sides]
-    if len(matches) != 1:
-        raise AssertionError(
-            f"occurrence pattern {sides} matched cases {matches}; "
-            "expected exactly one"
-        )
-    positions = tuple(o.position for o, _ in occs)
-    return matches[0], positions  # type: ignore[return-value]
 
 
 def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
@@ -248,9 +252,29 @@ def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
     After the move each of the two pointers has its values adjacent and in
     order, so neither pointer interlocks with anything again.
     """
-    case, (i1, i2, i3, i4) = _match_case(perm, p, q)
+    _check_pointer(perm, p)
+    _check_pointer(perm, q)
     e = perm.entries
     n = len(e)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(e, 1):
+        pos[v] = i
+    # Each pointer's slot interval, the one opening first as (s1, s3).
+    first = sorted((2 * pos[p] + 1, 2 * pos[p + 1]))
+    second = sorted((2 * pos[q] + 1, 2 * pos[q + 1]))
+    if second < first:
+        first, second = second, first
+    (s1, s3), (s2, s4) = first, second
+    if not s1 < s2 < s3 < s4:
+        raise NotApplicableError(
+            f"pointers {p} and {q} do not interlock in {list(e)}"
+        )
+    slots = (s1, s2, s3, s4)
+    sides = tuple(s & 1 for s in slots)
+    case = _CASE_SIDES.get(sides)
+    if case is None:
+        raise AssertionError(f"occurrence pattern {sides} matched no case")
+    i1, i2, i3, i4 = (s >> 1 for s in slots)
 
     def seg(a: int, b: int) -> tuple[int, ...]:
         # entries at 1-based positions a..b inclusive; empty when a > b

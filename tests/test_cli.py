@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import cdsgame
+from cdsgame import cli
 from cdsgame.cli import main
+from cdsgame.games import SolveCache, cache_load, cache_save
 from cdsgame.jsonio import dump_document, graph_to_doc
-from cdsgame.families import gen_chain
+from cdsgame.families import gen_chain, tight_instance
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +156,71 @@ def test_exit_code_size_bound(capsys):
     code, doc = run_cli(capsys, "solve", "cds", "--perm", word, "--favorable", "")
     assert code == 4
     assert doc["error"]["type"] == "size-bound"
+
+
+def test_perm_fixedpoints_is_size_bounded(capsys):
+    word = " ".join(str(v) for v in tight_instance(24)[0])
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "perm", "fixedpoints", "--perm", word)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and doc["error"]["type"] == "size-bound"
+    code, doc = run_cli(capsys, "perm", "fixedpoints", "--perm", "2 4 1 3")
+    assert code == 0 and doc["codes"] == [1, 2, 3]
+    code, doc = run_cli(capsys, "perm", "fixedpoints", "--perm", "5 7 6 3 2 4 8 1")
+    assert code == 4
+    code, doc = run_cli(capsys, "perm", "fixedpoints", "--perm", "5 7 6 3 2 4 8 1",
+                        "--max-n", "8")
+    assert code == 0 and doc["codes"] == [1, 2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("initial", ["missing", "empty"])
+def test_concurrent_cache_users_keep_each_others_entries(capsys, tmp_path, monkeypatch,
+                                                         initial):
+    # One solve loads the shared file, and while it runs a second session
+    # loads, solves and saves; the first save must not drop the second's entries.
+    path = str(tmp_path / "shared.tsv")
+    if initial == "empty":
+        cache_save(SolveCache(), path)
+    solve_cds = cli.solve_cds
+
+    def solve_while_another_session_saves(state, cache, *bound):
+        monkeypatch.setattr(cli, "solve_cds", solve_cds)
+        assert main(["solve", "cds", "--perm", "2 4 1 3", "--favorable", "1",
+                     "--cache", path]) == 0
+        return solve_cds(state, cache, *bound)
+
+    monkeypatch.setattr(cli, "solve_cds", solve_while_another_session_saves)
+    assert main(["solve", "cds", "--perm", "3 1 4 2 5", "--favorable", "2",
+                 "--cache", path]) == 0
+    capsys.readouterr()
+    keys = {key for key, _ in cache_load(path).items()}
+    assert {"P|2 4 1 3|1|1", "P|3 1 4 2 5|2|1"} <= keys
+
+
+def test_parallel_cache_users_lose_no_entries(tmp_path):
+    # More sessions than cores start from no file and save into it at once.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cdsgame.__file__)))
+    path = str(tmp_path / "shared.tsv")
+    words = ["2 4 1 3", "3 1 4 2 5", "2 5 3 1 4", "3 5 2 4 1", "4 2 5 1 3", "2 4 6 1 3 5"]
+    sessions = [subprocess.Popen([sys.executable, "-m", "cdsgame.cli", "solve", "cds",
+                                  "--perm", word, "--cache", path],
+                                 env=env, stdout=subprocess.DEVNULL)
+                for word in words]
+    assert [session.wait(timeout=60) for session in sessions] == [0] * len(words)
+    keys = {key for key, _ in cache_load(path).items()}
+    assert {f"P|{word}||1" for word in words} <= keys
+
+
+def test_cache_store_rereads_only_a_file_another_session_wrote(capsys, tmp_path,
+                                                               monkeypatch):
+    path = str(tmp_path / "c.tsv")
+    argv = ["solve", "cds", "--perm", "2 4 1 3", "--favorable", "1", "--cache", path]
+    assert main(argv) == 0
+    loads = []
+    monkeypatch.setattr(cli, "cache_load", lambda p: loads.append(p) or cache_load(p))
+    assert main(argv) == 0
+    assert loads == [path]
+    capsys.readouterr()
 
 
 def test_exit_code_verification(capsys):

@@ -294,6 +294,34 @@ def test_solve_reports_are_pinned():
     ]
 
 
+# The tight cds solves as the pairwise move generator (interlocks on every
+# pointer pair) reported them; the slot-interval fast path must not move them.
+TIGHT_CDS_REPORTS = {
+    (12, ONE): (ONE, ((5, 6), (1, 2), (3, 11), (4, 9), (7, 10)), 115, 208),
+    (12, TWO): (TWO, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)), 48, 77),
+    (16, ONE): (ONE, ((5, 6), (1, 2), (3, 15), (4, 13), (7, 9), (8, 10), (11, 14)), 625, 1444),
+    (16, TWO): (TWO, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14)), 204, 473),
+    (20, ONE): (ONE, ((5, 6), (1, 2), (3, 19), (4, 17), (7, 9), (8, 10), (11, 13),
+                      (12, 14), (15, 18)), 3288, 9594),
+    (20, TWO): (TWO, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14),
+                      (15, 16), (17, 18)), 877, 2735),
+}
+
+
+@pytest.mark.parametrize("n, mover", sorted(TIGHT_CDS_REPORTS))
+def test_tight_cds_solve_reports_are_pinned(n, mover):
+    alpha, favorable = tight_instance(n)
+    report = solve_cds(CdsState(alpha, favorable, mover), max_n=n)
+    assert _fields(report) == TIGHT_CDS_REPORTS[n, mover]
+
+
+def test_cds_state_rejects_bool_codes():
+    # True == 1, but a bool code would give the state a second cache key.
+    with pytest.raises(ValueError, match="True"):
+        CdsState(Permutation([2, 4, 1, 3]), frozenset({True}), ONE)
+    CdsState(Permutation([2, 4, 1, 3]), frozenset({1}), ONE)
+
+
 # Plain uncached minimax, written from the rules of the two games.
 def _minimax_cds(perm, favorable, mover):
     moves = sorted(legal_moves(perm))

@@ -1,10 +1,14 @@
 """Tests for the cds rewrite on permutations."""
 
+import random
 from itertools import permutations as all_words
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdsgame.permutations import (
+    _CASE_SIDES,
     HEAD_RIGHT,
     TAIL_LEFT,
     NotApplicableError,
@@ -158,3 +162,85 @@ def test_rotation_forms_are_fixed_points():
             rot = Permutation(base[k:] + base[:k])
             assert is_fixed_point(rot)
             assert fixed_point_code(rot) == rot[0] - 1
+
+
+# ---------------------------------------------------------------------------
+# The slot-interval fast path against the pairwise reference.  legal_moves is
+# checked against interlocks; apply_cds against the case classification it
+# replaced, which merged the four pointer occurrences by sorting.
+
+def _reference_apply_cds(perm, p, q):
+    occs = sorted([(o, p) for o in pointer_occurrences(perm, p)]
+                  + [(o, q) for o in pointer_occurrences(perm, q)])
+    owners = [owner for _, owner in occs]
+    if not (owners[0] == owners[2] and owners[0] != owners[1]):
+        raise NotApplicableError(
+            f"pointers {p} and {q} do not interlock in {list(perm.entries)}")
+    case = _CASE_SIDES[tuple(o.side for o, _ in occs)]
+    i1, i2, i3, i4 = (o.position for o, _ in occs)
+    e = perm.entries
+    n = len(e)
+
+    def seg(a, b):
+        return e[a - 1 : b]
+
+    if case == 1:
+        out = seg(1, i1 - 1) + seg(i3 + 1, i4 - 1) + seg(i2 + 1, i3) + seg(i1, i2) + seg(i4, n)
+    elif case == 2:
+        out = seg(1, i1) + seg(i3, i4 - 1) + seg(i2 + 1, i3 - 1) + seg(i1 + 1, i2) + seg(i4, n)
+    elif case == 3:
+        out = seg(1, i1) + seg(i3, i4) + seg(i2, i3 - 1) + seg(i1 + 1, i2 - 1) + seg(i4 + 1, n)
+    else:
+        out = seg(1, i1 - 1) + seg(i3 + 1, i4) + seg(i2, i3) + seg(i1, i2 - 1) + seg(i4 + 1, n)
+    return Permutation(out)
+
+
+def _outcome(move, *args):
+    try:
+        return move(*args).entries
+    except NotApplicableError as exc:
+        return str(exc)
+
+
+def _assert_fast_path_matches_reference(perm, both_orders=True):
+    """legal_moves and apply_cds agree with the reference on every pointer pair.
+
+    Without ``both_orders`` each pair is tried once, as (p, q) with p <= q.
+    """
+    n = perm.n
+    pairs = [(p, q) for p in range(1, n) for q in range(p + 1, n)]
+    assert legal_moves(perm) == {(p, q) for p, q in pairs if interlocks(perm, p, q)}
+    for p in range(1, n):
+        for q in range(1 if both_orders else p, n):
+            assert _outcome(apply_cds, perm, p, q) == _outcome(_reference_apply_cds, perm, p, q)
+
+
+def test_fast_path_matches_reference_on_every_word_up_to_seven():
+    for n in range(1, 8):
+        for word in all_words(range(1, n + 1)):
+            _assert_fast_path_matches_reference(Permutation(word), both_orders=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_fast_path_matches_reference_on_random_words(word):
+    _assert_fast_path_matches_reference(Permutation(word))
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_fast_path_matches_reference_on_seeded_large_words(n):
+    rng = random.Random(n)
+    for _ in range(10):
+        word = list(range(1, n + 1))
+        rng.shuffle(word)
+        _assert_fast_path_matches_reference(Permutation(word), both_orders=False)
+
+
+def test_apply_cds_validates_pointers_before_the_interlock_test():
+    perm = Permutation([2, 4, 1, 3])
+    with pytest.raises(ValueError, match="pointer code True"):
+        apply_cds(perm, True, 2)
+    with pytest.raises(ValueError, match="out of range 1..3"):
+        apply_cds(perm, 1, 4)
+    with pytest.raises(NotApplicableError):
+        apply_cds(perm, 2, 2)

@@ -86,3 +86,17 @@ def test_chain_collapse_reports_the_known_interior_failures():
 def test_run_all_covers_every_suite():
     names = [r.name for r in run_all(max_n=3, max_m=2, samples=5)]
     assert names == list(SUITE_NAMES)
+
+
+@pytest.mark.slow
+def test_commutation_is_exhaustive_at_n_seven():
+    result = run_suite("commutation", max_n=7, samples=0)
+    assert result.ok
+    assert "exhaustive: 32615 permutation/move squares with n <= 7" in result.notes
+
+
+@pytest.mark.slow
+def test_pile_lemma_is_exhaustive_at_n_seven():
+    result = run_suite("pile-lemma", max_n=7, samples=0)
+    assert result.ok
+    assert result.cases == 372352
