@@ -3,10 +3,14 @@
 The *chain* family G_m is a row of m triangles glued at odd-labelled
 vertices: vertices 1..2m+1, a triangle on {1,2,3}, and for each k < m a
 triangle on {2k+1, 2k+2, 2k+3}.  Its favorable companion A_m is {2} plus
-every multiple of 4 up to 2m+1.  Pivoting any edge of G_m with gcds2
-collapses it to a graph isomorphic to G_{m-1}, and (G_m, A_m) is an
-N-position exactly for odd m; both facts are exercised by the verification
-suites.
+every multiple of 4 up to 2m+1.  Pivoting an edge of G_m with gcds2
+collapses it to a graph isomorphic to G_{m-1}, except at the interior
+glue-glue edges (2k+1, 2k+3), 1 <= k <= m-2: there the five neighbours
+2k-1, 2k, 2k+2, 2k+4, 2k+5 become a K5, a chain with a K5 bead on 2m-1
+vertices and 3m+1 edges.  The ``chain-collapse`` suite checks the collapse
+at every edge and reports those edges as failures (10 of the 60 edges for
+m = 2..6).  (G_m, A_m) is an N-position exactly for odd m, which the
+``np-classification`` suite checks.
 
 The permutation family alpha_n (n divisible by 4, n >= 8) has a full
 strategic pile, and its overlap graph is a relabelled G_{(n-2)/2}; carrying

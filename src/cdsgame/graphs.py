@@ -6,13 +6,14 @@ sort ints numerically before strings lexicographically.
 
 ``apply_gcds(g, {x, y})`` pivots the graph at an edge {x, y}.  Build the
 *master list* of the move: column_x = N(x) \\ {y} and column_y = N(y) \\ {x}.
-Then x and y become isolated, and for every other pair {p, q}:
-
-* if either vertex is absent from the master list, the pair keeps its
-  (non-)adjacency;
-* if no column contains both, the pair toggles;
-* if some column contains both, the pair toggles exactly when the total
-  number of column memberships of p and q is odd.
+Its members fall into three classes: N(x) \\ N(y), N(y) \\ N(x) and
+N(x) & N(y), with x and y left out.  The pivot toggles every pair of vertices
+that lie in two different classes, isolates x and y, and keeps every other
+pair as it was.  This is the edge pivot of Bouchet and of Oum (*Rank-width
+and vertex-minors*, 2005).  The master-list case rules (a pair with both
+vertices in the list toggles when no column holds both, or when their column
+memberships add up to an odd number) give the same graph; the tests keep them
+as the reference implementation.
 
 ``apply_gcds2`` performs the same pivot and then deletes the pivot pair
 together with every master-list vertex left isolated — except that the sole
@@ -32,13 +33,10 @@ __all__ = [
     "NotAnEdgeError",
     "Graph",
     "MasterList",
-    "VertexClasses",
     "Position",
     "label_key",
     "masterlist",
-    "vertex_classes",
     "apply_gcds",
-    "apply_gcds_via_classes",
     "apply_gcds2",
     "are_isomorphic",
     "positions_isomorphic",
@@ -166,16 +164,6 @@ class MasterList:
         return self.column_x | self.column_y
 
 
-@dataclass(frozen=True)
-class VertexClasses:
-    """Partition of the non-pivot vertices by column membership."""
-
-    x_only: frozenset
-    y_only: frozenset
-    both: frozenset
-    outside: frozenset
-
-
 def _check_edge(g: Graph, edge) -> tuple[Label, Label]:
     try:
         x, y = edge
@@ -196,76 +184,26 @@ def masterlist(g: Graph, edge) -> MasterList:
     )
 
 
-def vertex_classes(g: Graph, edge) -> VertexClasses:
-    x, y = _check_edge(g, edge)
-    ml = masterlist(g, edge)
-    x_only, y_only, both, outside = set(), set(), set(), set()
-    for v in g.vertices - {x, y}:
-        in_x = v in ml.column_x
-        in_y = v in ml.column_y
-        if in_x and in_y:
-            both.add(v)
-        elif in_x:
-            x_only.add(v)
-        elif in_y:
-            y_only.add(v)
-        else:
-            outside.add(v)
-    return VertexClasses(
-        frozenset(x_only), frozenset(y_only), frozenset(both), frozenset(outside)
-    )
+def _pivot(g: Graph, edge) -> tuple[Label, Label, frozenset, set]:
+    """The pivot pair, the master-list members and the pivoted edge set.
+
+    The columns split the members into three classes, N(x) \\ N(y),
+    N(y) \\ N(x) and N(x) & N(y) (x and y left out); every pair that crosses
+    two classes toggles, and every edge at x or y goes.
+    """
+    ml = masterlist(g, edge)  # the one check that edge is an edge
+    x, y = edge
+    cx, cy = ml.column_x, ml.column_y
+    edges = {e for e in g.edges if x not in e and y not in e}
+    for a, b in combinations((cx - cy, cy - cx, cx & cy), 2):
+        edges.symmetric_difference_update(frozenset((p, q)) for p in a for q in b)
+    return x, y, ml.members(), edges
 
 
 def apply_gcds(g: Graph, edge) -> Graph:
-    """Pivot at an edge, by the master-list membership rules.
-
-    The vertex set is unchanged; the pivot pair ends up isolated.
-    """
-    x, y = _check_edge(g, edge)
-    ml = masterlist(g, edge)
-    cx, cy = ml.column_x, ml.column_y
-    adj = g.adjacency()
-    others = sorted(g.vertices - {x, y}, key=label_key)
-    new_edges = []
-    for p, q in combinations(others, 2):
-        present = q in adj[p]
-        if p in cx or p in cy:
-            if q in cx or q in cy:
-                same_column = (p in cx and q in cx) or (p in cy and q in cy)
-                if not same_column:
-                    present = not present
-                else:
-                    occurrences = (p in cx) + (p in cy) + (q in cx) + (q in cy)
-                    if occurrences % 2 == 1:
-                        present = not present
-        if present:
-            new_edges.append((p, q))
-    return Graph(g.vertices, new_edges)
-
-
-def apply_gcds_via_classes(g: Graph, edge) -> Graph:
-    """Same pivot, computed from the column-membership partition instead.
-
-    A non-pivot pair toggles exactly when both vertices lie in the master
-    list and their membership patterns (in column_x, in column_y) differ.
-    Kept as an independent implementation to cross-check ``apply_gcds``.
-    """
-    x, y = _check_edge(g, edge)
-    ml = masterlist(g, edge)
-    adj = g.adjacency()
-    flags = {
-        v: (v in ml.column_x, v in ml.column_y) for v in g.vertices if v not in (x, y)
-    }
-    others = sorted(flags, key=label_key)
-    new_edges = []
-    for p, q in combinations(others, 2):
-        present = q in adj[p]
-        fp, fq = flags[p], flags[q]
-        if fp != (False, False) and fq != (False, False) and fp != fq:
-            present = not present
-        if present:
-            new_edges.append((p, q))
-    return Graph(g.vertices, new_edges)
+    """Pivot at an edge; the vertex set is unchanged and x, y end up isolated."""
+    *_, edges = _pivot(g, edge)
+    return Graph(g.vertices, edges)
 
 
 def apply_gcds2(g: Graph, edge) -> Graph:
@@ -274,13 +212,11 @@ def apply_gcds2(g: Graph, edge) -> Graph:
     A one-element master list is the exception: its sole member survives even
     when isolated.  Vertices outside the move always survive.
     """
-    x, y = _check_edge(g, edge)
-    members = masterlist(g, edge).members()
-    pivoted = apply_gcds(g, edge)
-    doomed = {x, y}
+    x, y, members, edges = _pivot(g, edge)
+    keep = g.vertices - {x, y}
     if len(members) > 1:
-        doomed.update(v for v in members if pivoted.is_isolated(v))
-    return pivoted.without_vertices(doomed)
+        keep -= members.difference(*edges)
+    return Graph(keep, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,22 @@ def test_solve_reports_are_pinned():
     assert _fields(solve_gcds(chain, cache=cache)) == (ONE, ((5, 6), (1, 2), (3, 7)), 0, 16)
     small = CdsState(Permutation([2, 4, 1, 3]), frozenset({1}), TWO)
     assert _fields(solve_cds(small)) == (TWO, ((1, 2),), 2, 1)
+    # The two solves np_status makes on chain 5, in one cache as it makes them.
+    chain5 = Position(gen_chain(5), gen_favorable(5))
+    assert np_status(chain5).status == "N"
+    cache = SolveCache()
+    assert _fields(solve_gcds(GcdsState(chain5, ONE), cache=cache)) == (
+        ONE, ((5, 6), (1, 2), (9, 10), (3, 4), (7, 11)), 150, 308)
+    assert _fields(solve_gcds(GcdsState(chain5, TWO), cache=cache)) == (
+        TWO, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)), 48, 77)
+    # String labels order the moves by name: the chain 3 with 1..7 renamed g..a.
+    names = dict(zip(range(1, 8), "gfedcba"))
+    lettered = Position(gen_chain(3).relabel(names),
+                        frozenset(names[v] for v in gen_favorable(3)))
+    assert _fields(solve_gcds(GcdsState(lettered, ONE))) == (
+        ONE, (("a", "b"), ("c", "d"), ("e", "g")), 12, 16)
+    assert _fields(solve_gcds(GcdsState(lettered, TWO))) == (
+        TWO, (("a", "b"), ("c", "d"), ("e", "f")), 13, 11)
     # The cache keys a solve leaves carry only the favorable vertices still alive.
     cache = SolveCache()
     solve_gcds(GcdsState(Position(gen_chain(2), frozenset({2, 4})), ONE), cache=cache)

@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdsgame.cyclegraph import SizeBoundError
 from cdsgame.graphs import (
@@ -12,12 +13,10 @@ from cdsgame.graphs import (
     Position,
     apply_gcds,
     apply_gcds2,
-    apply_gcds_via_classes,
     are_isomorphic,
     label_key,
     masterlist,
     positions_isomorphic,
-    vertex_classes,
 )
 
 
@@ -45,6 +44,47 @@ def random_graph(rng, n, p=0.5, labels=None):
     verts = labels if labels is not None else list(range(1, n + 1))
     edges = [e for e in combinations(verts, 2) if rng.random() < p]
     return Graph(verts, edges)
+
+
+def _reference_apply_gcds(g, edge):
+    """The pivot by the master-list case rules, kept as the oracle."""
+    ml = masterlist(g, edge)
+    x, y = edge
+    cx, cy = ml.column_x, ml.column_y
+    adj = g.adjacency()
+    others = sorted(g.vertices - {x, y}, key=label_key)
+    new_edges = []
+    for p, q in combinations(others, 2):
+        present = q in adj[p]
+        if p in cx or p in cy:
+            if q in cx or q in cy:
+                same_column = (p in cx and q in cx) or (p in cy and q in cy)
+                if not same_column:
+                    present = not present
+                else:
+                    occurrences = (p in cx) + (p in cy) + (q in cx) + (q in cy)
+                    if occurrences % 2 == 1:
+                        present = not present
+        if present:
+            new_edges.append((p, q))
+    return Graph(g.vertices, new_edges)
+
+
+def _reference_apply_gcds2(g, edge):
+    """The oracle pivot, pruned as apply_gcds2's docstring says."""
+    members = masterlist(g, edge).members()
+    pivoted = _reference_apply_gcds(g, edge)
+    doomed = set(edge)
+    if len(members) > 1:
+        doomed |= {v for v in members if pivoted.is_isolated(v)}
+    return pivoted.without_vertices(doomed)
+
+
+def assert_pivots_match_the_reference(g):
+    for a, b in g.edge_list():
+        for edge in ((a, b), (b, a)):
+            assert apply_gcds(g, edge) == _reference_apply_gcds(g, edge)
+            assert apply_gcds2(g, edge) == _reference_apply_gcds2(g, edge)
 
 
 def test_graph_construction_and_validation():
@@ -97,14 +137,6 @@ def test_masterlist_columns_follow_the_pair_order():
     assert fwd.column_x == rev.column_y and fwd.column_y == rev.column_x
 
 
-def test_vertex_classes_fixture():
-    classes = vertex_classes(PIVOT_SMALL, (1, 2))
-    assert classes.x_only == {7}
-    assert classes.y_only == {6}
-    assert classes.both == {3, 4}
-    assert classes.outside == {5}
-
-
 def test_apply_gcds_fixtures():
     out = apply_gcds(PIVOT_SMALL, (1, 2))
     assert out.edge_list() == [(3, 4), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6)]
@@ -126,16 +158,43 @@ def test_apply_gcds_requires_an_edge():
 def test_gcds_routes_agree_exhaustively_up_to_five_vertices():
     for n in range(2, 6):
         for g in all_graphs(n):
-            for edge in g.edge_list():
-                assert apply_gcds(g, edge) == apply_gcds_via_classes(g, edge)
+            assert_pivots_match_the_reference(g)
+
+
+@pytest.mark.slow
+def test_gcds_routes_agree_exhaustively_at_six_vertices():
+    for g in all_graphs(6):
+        assert_pivots_match_the_reference(g)
 
 
 def test_gcds_routes_agree_on_random_graphs_up_to_seven_vertices():
     rng = random.Random(1)
     for _ in range(400):
-        g = random_graph(rng, rng.randrange(2, 8))
-        for edge in g.edge_list():
-            assert apply_gcds(g, edge) == apply_gcds_via_classes(g, edge)
+        assert_pivots_match_the_reference(random_graph(rng, rng.randrange(2, 8)))
+
+
+@st.composite
+def _mixed_label_graphs(draw):
+    labels = draw(st.lists(st.one_of(st.integers(-3, 30), st.text("abcxyz", max_size=2)),
+                           min_size=2, max_size=12, unique=True))
+    pairs = list(combinations(labels, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(labels, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_label_graphs())
+def test_gcds_routes_agree_on_mixed_label_graphs(g):
+    assert_pivots_match_the_reference(g)
+
+
+def test_fixture_pivots_match_the_reference():
+    for g, edge, after in (
+        (PIVOT_SMALL, (1, 2), [(3, 4), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6)]),
+        (PIVOT_LARGE, (2, 7), [(1, 3), (1, 6), (1, 8), (3, 6), (3, 8), (6, 8)]),
+    ):
+        assert _reference_apply_gcds(g, edge).edge_list() == after
+        assert_pivots_match_the_reference(g)
 
 
 def test_gcds_is_order_insensitive_and_preserves_vertices():
@@ -158,10 +217,10 @@ def test_gcds_never_touches_outside_edges():
         if not g.edges:
             continue
         edge = g.edge_list()[rng.randrange(g.n_edges())]
-        classes = vertex_classes(g, edge)
+        outside = g.vertices - set(edge) - masterlist(g, edge).members()
         out = apply_gcds(g, edge)
         # Any pair with an endpoint outside the master list keeps its status.
-        for v in classes.outside:
+        for v in outside:
             for w in g.vertices - set(edge) - {v}:
                 assert g.has_edge(v, w) == out.has_edge(v, w)
                 touched += 1

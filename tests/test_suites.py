@@ -1,8 +1,11 @@
 """Tests for the verification-suite plumbing."""
 
+import concurrent.futures
+import os
+
 import pytest
 
-from cdsgame.suites import SUITE_NAMES, run_all, run_suite
+from cdsgame.suites import SUITE_NAMES, _fan_out, run_all, run_suite
 
 
 def test_suite_names_are_stable():
@@ -40,6 +43,33 @@ def test_commutation_suite_is_deterministic():
     assert a.ok and b.ok
     assert a.cases == b.cases
     assert a.notes == b.notes
+
+
+@pytest.mark.parametrize("cpus, items, workers", [(2, 50, 2), (8, 3, 3), (None, 50, None)])
+def test_fan_out_caps_workers_at_cpus_and_items(monkeypatch, cpus, items, workers):
+    sizes = []
+
+    class InProcessPool:
+        """Records max_workers and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    chunks = _fan_out(list, list(range(items)), threads=10_000)
+    assert sizes == ([] if workers is None else [workers])
+    assert len(chunks) == (workers or 1)
+    assert [x for chunk in chunks for x in chunk] == list(range(items))
 
 
 def test_threaded_runs_match_serial_runs():
