@@ -43,6 +43,7 @@ from .games import (
     opponent,
     solve_cds,
     solve_gcds,
+    successor,
 )
 from .graphs import (
     NotAnEdgeError,
@@ -304,21 +305,24 @@ def _cmd_play(args):
     transcript = []
     mover = ONE
     while (winner := game.outcome(state)) is None:
-        successors = dict(game.moves(state))
+        entry = game.moves(state)
+        moves = entry[0]
         if mover == args.human:
-            rendered = {f"{a},{b}": (a, b) for a, b in successors}
-            while (choice := _prompt(list(rendered))) not in rendered:
+            rendered = [f"{a},{b}" for a, b in moves]
+            while (choice := _prompt(rendered)) not in rendered:
                 print(f"  {choice!r} is not a legal move", file=sys.stderr)
-            move = rendered[choice]
+            i = rendered.index(choice)
+            move, after = moves[i], successor(game, state, entry, i)
         else:
             report = game.solve(state, mover, cache)
             move = report.principal_variation[0]
+            after = successor(game, state, entry, moves.index(move))
             if report.winner == mover:
-                after = game.solve(successors[move], opponent(mover), cache)
-                assert after.winner == mover, "engine left a won game"
+                assert game.solve(after, opponent(mover), cache).winner == mover, \
+                    "engine left a won game"
             print(f"engine plays {move[0]},{move[1]}", file=sys.stderr)
         transcript.append({"mover": mover, "move": move_to_doc(move)})
-        state = successors[move]
+        state = after
         mover = opponent(mover)
 
     _store_cache(cache, args.cache, stamp)

@@ -14,9 +14,17 @@ Both games are finite alternating win/loss games, and one engine solves
 them.  A game object (CdsGame, GcdsGame) holds the favorable set, takes a
 bare Permutation or Graph as the state and supplies what the engine reads:
 ``key(state, mover)``, ``outcome(state)`` (the winner at a terminal, else
-None), ``moves(state)`` (the memoised ``(move, child)`` tuple) and
-``variant(state, depth)`` (a natural number every move lowers); its
-``solve(state, mover, cache)`` is the size-checked public solver.  The search
+None), ``moves(state)`` (the state's successor-memo entry: its sorted move
+list and a list of the children made so far, each made by ``make(state,
+move)`` on first use, see :func:`successor`) and ``variant(state, depth)``
+(a natural number every move lowers); its ``solve(state, mover, cache)`` is
+the size-checked public solver.  The search builds only the children it
+visits, in move order, and stops at the first winning one.  Each of the two
+successor memos is shared by every solve in the process.  It charges each
+state its full fan-out and is emptied when a new state would take the charge
+past MEMO_CHILDREN (2**18), so it never holds more children than that or one
+state's fan-out; :func:`clear_memos` empties both memos and
+:func:`memo_stats` reports on them.  The search
 is negamax with memoisation over the exact labelled state; no symmetry
 reduction is applied, so cache keys are reproducible strings and can be
 persisted to disk and reloaded across runs.  The principal variation always
@@ -30,10 +38,9 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclegraph import SizeBoundError
-from .graphs import Graph, Position, apply_gcds2, label_key
+from .graphs import Graph, Position, apply_gcds2, key_label, label_key
 from .permutations import (
     Permutation,
     apply_cds,
@@ -63,6 +70,9 @@ __all__ = [
     "np_status",
     "cache_save",
     "cache_load",
+    "successor",
+    "clear_memos",
+    "memo_stats",
 ]
 
 ONE = "ONE"
@@ -129,27 +139,14 @@ class NpReport:
 # ---------------------------------------------------------------------------
 # Canonical state keys and the persistent cache.
 
-_KEY_FORBIDDEN = set("|,-\t\n ")
-
-
-def _render_label(v) -> str:
-    s = str(v)
-    if not s or _KEY_FORBIDDEN & set(s):
-        raise ValueError(f"vertex label {v!r} cannot be used in a cache key")
-    return s
-
-
 def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
-    vs = ",".join(_render_label(v) for v in graph.vertex_list())
-    es = ",".join(f"{_render_label(a)}-{_render_label(b)}" for a, b in graph.edge_list())
-    fs = ",".join(_render_label(v) for v in sorted(favorable, key=label_key))
-    return f"G|{vs}|{es}|{fs}|{1 if mover == ONE else 2}"
+    fs = ",".join(key_label(v) for v in sorted(favorable, key=label_key))
+    return f"G|{graph.key_text()}|{fs}|{1 if mover == ONE else 2}"
 
 
 def perm_state_key(perm: Permutation, favorable: frozenset, mover: str) -> str:
-    word = " ".join(str(v) for v in perm.entries)
     fs = ",".join(str(c) for c in sorted(favorable))
-    return f"P|{word}|{fs}|{1 if mover == ONE else 2}"
+    return f"P|{perm.word()}|{fs}|{1 if mover == ONE else 2}"
 
 
 class SolveCache:
@@ -275,19 +272,82 @@ def cds_terminal_winner(perm: Permutation, favorable: frozenset) -> str:
 # ---------------------------------------------------------------------------
 # Successor generation, shared across solves via memoisation.
 
-@lru_cache(maxsize=1 << 18)
-def _gcds_successors(graph: Graph) -> tuple:
-    out = []
-    for a, b in graph.edge_list():
-        out.append(((a, b), apply_gcds2(graph, (a, b))))
-    return tuple(out)
+# How many children one successor memo may hold.  A state is charged its full
+# fan-out when it enters; one that would pass the bound empties the table
+# first, and loops already running keep their own entry.
+MEMO_CHILDREN = 1 << 18
 
 
-@lru_cache(maxsize=1 << 18)
-def _cds_successors(perm: Permutation) -> tuple:
-    return tuple(
-        ((p, q), apply_cds(perm, p, q)) for p, q in sorted(legal_moves(perm))
-    )
+def _successor_memo(moves_of):
+    """A memo from a state to its entry ``(moves, children)``.
+
+    ``moves`` is ``moves_of(state)``, the state's moves in the order the
+    search tries them; ``children[i]`` is the child after ``moves[i]``, or
+    None until a caller makes it (see :func:`successor`).  Like an ``lru_cache``,
+    the memo has ``cache_info()`` = (hits, misses, bound, states held) and
+    ``cache_clear()``; ``stats()`` also counts the children made.
+    """
+    table: dict = {}
+    counts = [0, 0, 0]  # hits, misses, children charged to the table
+
+    def entry(state) -> tuple:
+        found = table.get(state)
+        if found is not None:
+            counts[0] += 1
+            return found
+        counts[1] += 1
+        moves = moves_of(state)
+        if counts[2] + len(moves) > MEMO_CHILDREN:
+            table.clear()
+            counts[2] = 0
+        counts[2] += len(moves)
+        found = table[state] = (moves, [None] * len(moves))
+        return found
+
+    def cache_info() -> tuple:
+        return counts[0], counts[1], MEMO_CHILDREN, len(table)
+
+    def cache_clear() -> None:
+        table.clear()
+        counts[:] = [0, 0, 0]
+
+    def stats() -> dict:
+        made = sum(len(children) - children.count(None) for _, children in table.values())
+        return {"hits": counts[0], "misses": counts[1], "states": len(table),
+                "children": made}
+
+    entry.cache_info, entry.cache_clear, entry.stats = cache_info, cache_clear, stats
+    return entry
+
+
+def _cds_moves(perm: Permutation) -> list:
+    return sorted(legal_moves(perm))
+
+
+_cds_successors = _successor_memo(_cds_moves)
+_gcds_successors = _successor_memo(Graph.edge_list)
+_MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
+
+
+def clear_memos() -> None:
+    """Empty both successor memos and zero their counters."""
+    for memo in _MEMOS.values():
+        memo.cache_clear()
+
+
+def memo_stats() -> dict:
+    """Per game: memo hits, misses, states held and children made."""
+    return {name: memo.stats() for name, memo in _MEMOS.items()}
+
+
+def successor(game, state, entry: tuple, i: int):
+    """The child after move ``i`` of ``state``, made on first use and kept in
+    the memo ``entry`` that ``game.moves(state)`` returned."""
+    moves, children = entry
+    made = children[i]
+    if made is None:
+        made = children[i] = game.make(state, moves[i])
+    return made
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +366,10 @@ class CdsGame:
         return cds_terminal_winner(perm, self.favorable) if is_fixed_point(perm) else None
 
     moves = staticmethod(_cds_successors)
+
+    @staticmethod
+    def make(perm: Permutation, move: tuple) -> Permutation:
+        return apply_cds(perm, *move)
 
     def variant(self, perm: Permutation, depth: int) -> int:
         return perm.n - depth  # game length never exceeds n
@@ -329,6 +393,10 @@ class GcdsGame:
         return gcds_terminal_winner(Position(graph, self.favorable & graph.vertices))
 
     moves = staticmethod(_gcds_successors)
+
+    @staticmethod
+    def make(graph: Graph, edge: tuple) -> Graph:
+        return apply_gcds2(graph, edge)
 
     def variant(self, graph: Graph, depth: int) -> int:
         # Taken per visited child, not in the successor memo: it builds the
@@ -360,9 +428,11 @@ def _value(game, state, mover: str, cache: SolveCache, stats: _Stats, depth: int
     if winner is None:
         winner = opponent(mover)
         bound = game.variant(state, depth)
-        for _move, child in game.moves(state):
-            assert 0 <= game.variant(child, depth + 1) < bound  # every move makes progress
-            if _value(game, child, opponent(mover), cache, stats, depth + 1) == mover:
+        entry = game.moves(state)
+        for i in range(len(entry[0])):
+            after = successor(game, state, entry, i)
+            assert 0 <= game.variant(after, depth + 1) < bound  # every move makes progress
+            if _value(game, after, opponent(mover), cache, stats, depth + 1) == mover:
                 winner = mover
                 break
     cache.put(key, winner)
@@ -376,14 +446,15 @@ def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
     winner = _value(game, root, mover, cache, stats)
     pv, state = [], root
     while (final := game.outcome(state)) is None:
-        successors = game.moves(state)
-        for move, child in successors:
-            if _value(game, child, opponent(mover), cache, stats, len(pv) + 1) == mover:
+        entry = game.moves(state)
+        for i in range(len(entry[0])):
+            after = successor(game, state, entry, i)
+            if _value(game, after, opponent(mover), cache, stats, len(pv) + 1) == mover:
                 break
         else:
-            move, child = successors[0]
-        pv.append(move)
-        state, mover = child, opponent(mover)
+            i, after = 0, entry[1][0]
+        pv.append(entry[0][i])
+        state, mover = after, opponent(mover)
     assert final == winner, "principal variation ends at the reported winner"
     return SolveReport(
         winner=winner,

@@ -35,6 +35,7 @@ __all__ = [
     "MasterList",
     "Position",
     "label_key",
+    "key_label",
     "masterlist",
     "apply_gcds",
     "apply_gcds2",
@@ -56,10 +57,22 @@ def label_key(v: Label):
     return (1, 0, str(v))
 
 
+# State keys and cache files use these characters as separators.
+_KEY_FORBIDDEN = frozenset("|,-\t\n ")
+
+
+def key_label(v: Label) -> str:
+    """``str(v)``, checked to be usable inside a solver state key."""
+    s = str(v)
+    if not s or _KEY_FORBIDDEN.intersection(s):
+        raise ValueError(f"vertex label {v!r} cannot be used in a cache key")
+    return s
+
+
 class Graph:
     """Immutable undirected simple graph (no loops, no multi-edges)."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_hash")
+    __slots__ = ("vertices", "edges", "_adj", "_hash", "_key")
 
     vertices: frozenset
     edges: frozenset
@@ -78,6 +91,7 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(es))
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -139,6 +153,18 @@ class Graph:
         pairs = [tuple(sorted(e, key=label_key)) for e in self.edges]
         pairs.sort(key=lambda pair: (label_key(pair[0]), label_key(pair[1])))
         return pairs
+
+    def key_text(self) -> str:
+        """``vertices|edges`` as the solver's state keys write them, rendered
+        on first use and kept; a label :func:`key_label` rejects raises every
+        time."""
+        text = self._key
+        if text is None:
+            vs = ",".join(key_label(v) for v in self.vertex_list())
+            es = ",".join(f"{key_label(a)}-{key_label(b)}" for a, b in self.edge_list())
+            text = f"{vs}|{es}"
+            object.__setattr__(self, "_key", text)
+        return text
 
     def without_vertices(self, doomed: Iterable[Label]) -> "Graph":
         gone = frozenset(doomed)

@@ -80,7 +80,7 @@ class Occurrence(NamedTuple):
 class Permutation:
     """An immutable permutation of {1..n}, n >= 1, stored as a tuple of entries."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_word")
 
     entries: tuple[int, ...]
 
@@ -99,6 +99,7 @@ class Permutation:
                 raise ValueError(f"entry {v} appears more than once")
             seen.add(v)
         object.__setattr__(self, "entries", values)
+        object.__setattr__(self, "_word", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Permutation is immutable")
@@ -124,6 +125,14 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.entries)
+
+    def word(self) -> str:
+        """The entries separated by single spaces, rendered on first use and kept."""
+        text = self._word
+        if text is None:
+            text = " ".join(map(str, self.entries))
+            object.__setattr__(self, "_word", text)
+        return text
 
     def position_of(self, value: int) -> int:
         """1-based position of ``value`` in the word."""

@@ -7,20 +7,25 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdsgame import games
 from cdsgame.cyclegraph import SizeBoundError, strategic_pile
 from cdsgame.families import gen_chain, gen_favorable, tight_instance
 from cdsgame.games import (
     ONE,
     TWO,
     CacheFormatError,
+    CdsGame,
     CdsState,
+    GcdsGame,
     GcdsState,
     SolveCache,
     cache_load,
     cache_save,
     cds_terminal_winner,
+    clear_memos,
     gcds_terminal_winner,
     graph_state_key,
+    memo_stats,
     np_status,
     opponent,
     perm_state_key,
@@ -393,3 +398,150 @@ def test_gcds_engine_agrees_with_plain_minimax(game):
     graph, favorable, mover = game
     assert solve_gcds(GcdsState(Position(graph, favorable), mover)).winner == _minimax_gcds(
         graph, favorable, mover)
+
+
+# ---------------------------------------------------------------------------
+# The lazy successor memos and the cached key text.
+
+def _pinned_solves():
+    """The solves of test_solve_reports_are_pinned plus both tight B_12 solves,
+    in order, each sharing a cache where that test shares one."""
+    alpha, favorable = tight_instance(8)
+    yield solve_cds(CdsState(alpha, favorable, ONE))
+    yield solve_gcds(GcdsState(Position(REPLAY_GRAPH, frozenset({1, 3, 5, 7})), ONE))
+    chain = GcdsState(Position(gen_chain(3), gen_favorable(3)), ONE)
+    cache = SolveCache()
+    yield solve_gcds(chain, cache=cache)
+    yield solve_gcds(chain, cache=cache)
+    yield solve_cds(CdsState(Permutation([2, 4, 1, 3]), frozenset({1}), TWO))
+    chain5 = Position(gen_chain(5), gen_favorable(5))
+    cache = SolveCache()
+    yield solve_gcds(GcdsState(chain5, ONE), cache=cache)
+    yield solve_gcds(GcdsState(chain5, TWO), cache=cache)
+    names = dict(zip(range(1, 8), "gfedcba"))
+    lettered = Position(gen_chain(3).relabel(names),
+                        frozenset(names[v] for v in gen_favorable(3)))
+    yield solve_gcds(GcdsState(lettered, ONE))
+    yield solve_gcds(GcdsState(lettered, TWO))
+    alpha, favorable = tight_instance(12)
+    yield solve_cds(CdsState(alpha, favorable, ONE), max_n=12)
+    yield solve_cds(CdsState(alpha, favorable, TWO), max_n=12)
+
+
+def test_every_cache_info_of_games_reads_as_four_ints():
+    # The benchmark calls cache_info() on every attribute of games that has one.
+    found = 0
+    for name, value in vars(games).items():
+        info = getattr(value, "cache_info", None)
+        if callable(info):
+            found += 1
+            counts = info()
+            assert len(counts) == 4 and all(type(c) is int for c in counts), name
+    assert found == 2
+
+
+def test_bounded_memo_gives_the_same_reports(monkeypatch):
+    clear_memos()
+    expected = list(_pinned_solves())
+    bound, fan_out, held = 8, [0], []
+
+    def watch(key):
+        def keyed(state, favorable, mover):
+            moves = legal_moves(state) if isinstance(state, Permutation) else state.edges
+            fan_out[0] = max(fan_out[0], len(moves))
+            held.append(max(m["children"] for m in memo_stats().values()))
+            return key(state, favorable, mover)
+        return keyed
+
+    monkeypatch.setattr(games, "MEMO_CHILDREN", bound)
+    monkeypatch.setattr(games, "perm_state_key", watch(games.perm_state_key))
+    monkeypatch.setattr(games, "graph_state_key", watch(games.graph_state_key))
+    clear_memos()
+    assert list(_pinned_solves()) == expected
+    assert max(held) <= bound + fan_out[0]
+    assert all(info["states"] <= bound for info in memo_stats().values())
+    clear_memos()
+
+
+def test_clear_memos_empties_both_memos():
+    alpha, favorable = tight_instance(8)
+    state = CdsState(alpha, favorable, ONE)
+    first = solve_cds(state)
+    solve_gcds(GcdsState(Position(gen_chain(2), gen_favorable(2)), ONE))
+    assert all(m["states"] and m["children"] for m in memo_stats().values())
+    clear_memos()
+    assert games._cds_successors.cache_info() == (0, 0, games.MEMO_CHILDREN, 0)
+    assert games._gcds_successors.cache_info() == (0, 0, games.MEMO_CHILDREN, 0)
+    assert memo_stats() == {name: {"hits": 0, "misses": 0, "states": 0, "children": 0}
+                            for name in ("cds", "gcds")}
+    assert solve_cds(state) == first
+
+
+def _built_prefixes(game, root, reference):
+    """Walk every memo entry the engine built below ``root``: its children must
+    be made in move order and equal the eager ``reference(state)`` list."""
+    seen, todo = set(), [root]
+    while todo:
+        state = todo.pop()
+        if state in seen or game.outcome(state) is not None:
+            continue
+        seen.add(state)
+        moves, children = game.moves(state)
+        made = [c for c in children if c is not None]
+        assert children[:len(made)] == made  # a prefix, in move order
+        assert list(zip(moves, made)) == reference(state)[:len(made)]
+        todo += made
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cds_games())
+def test_lazy_cds_successors_match_the_eager_list(game):
+    perm, favorable, mover = game
+    clear_memos()
+    solve_cds(CdsState(perm, favorable, mover))
+    _built_prefixes(CdsGame(favorable), perm,
+                    lambda p: [(m, apply_cds(p, *m)) for m in sorted(legal_moves(p))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gcds_games())
+def test_lazy_gcds_successors_match_the_eager_list(game):
+    graph, favorable, mover = game
+    clear_memos()
+    solve_gcds(GcdsState(Position(graph, favorable), mover))
+    _built_prefixes(GcdsGame(favorable), graph,
+                    lambda g: [(e, apply_gcds2(g, e)) for e in g.edge_list()])
+
+
+_LABELS = st.one_of(st.integers(-5, 30), st.text("abcXYZ0123_|,- ", min_size=0, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(_LABELS, max_size=6), st.data())
+def test_cached_key_text_equals_a_fresh_rendering(vertices, data):
+    pairs = list(combinations(sorted(vertices, key=str), 2))
+    edges = [pair for pair in pairs if data.draw(st.booleans())]
+    graph = Graph(vertices, edges)
+    favorable = frozenset(data.draw(st.sets(st.sampled_from(sorted(vertices, key=str))))
+                          if vertices else ())
+    labels = [str(v) for v in vertices]
+    if any(not s or set(s) & set("|,-\t\n ") for s in labels):
+        for _ in range(2):  # the bad label raises every time, not only the first
+            with pytest.raises(ValueError, match="cannot be used in a cache key"):
+                graph_state_key(graph, frozenset(), ONE)
+        return
+    fresh = "G|{}|{}|{}|2".format(
+        ",".join(str(v) for v in graph.vertex_list()),
+        ",".join(f"{a}-{b}" for a, b in graph.edge_list()),
+        ",".join(str(v) for v in sorted(favorable, key=lambda v: (isinstance(v, str), v))))
+    assert graph_state_key(graph, favorable, TWO) == fresh
+    assert graph_state_key(graph, favorable, TWO) == fresh  # from the kept text
+    assert graph_state_key(Graph(vertices, edges), favorable, TWO) == fresh
+
+
+@given(st.permutations(range(1, 9)), st.sets(st.integers(1, 7)))
+def test_cached_word_equals_a_fresh_rendering(entries, favorable):
+    perm = Permutation(entries)
+    fresh = "P|{}|{}|1".format(" ".join(map(str, entries)), ",".join(map(str, sorted(favorable))))
+    assert perm_state_key(perm, frozenset(favorable), ONE) == fresh
+    assert perm_state_key(perm, frozenset(favorable), ONE) == fresh
