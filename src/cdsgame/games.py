@@ -290,7 +290,7 @@ def _successor_memo(moves_of):
     table: dict = {}
     counts = [0, 0, 0]  # hits, misses, children charged to the table
 
-    def entry(state) -> tuple:
+    def lookup(state) -> tuple:
         found = table.get(state)
         if found is not None:
             counts[0] += 1
@@ -316,8 +316,8 @@ def _successor_memo(moves_of):
         return {"hits": counts[0], "misses": counts[1], "states": len(table),
                 "children": made}
 
-    entry.cache_info, entry.cache_clear, entry.stats = cache_info, cache_clear, stats
-    return entry
+    lookup.cache_info, lookup.cache_clear, lookup.stats = cache_info, cache_clear, stats
+    return lookup
 
 
 def _cds_moves(perm: Permutation) -> list:
