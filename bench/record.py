@@ -6,7 +6,8 @@
 Each ``--runs workload:seeds`` runs ``perfbench/run.py --workload W --seed S``
 once in each source tree for every seed, one run at a time.  The tree that
 runs first alternates from seed to seed (the parent first on the first seed),
-so a slow spell of the machine does not always fall on the same side.  Both
+so a slow spell of the machine does not always fall on the same side.  Every
+run lasts ``run_seconds`` from BENCHMARK.json, perfbench's default.  Both
 trees should be git checkouts, so that every run's label names its commit.
 
 The output keeps, per workload, end-to-end metric and side, every value in
@@ -48,12 +49,10 @@ def parse_runs(text: str) -> tuple[str, list[int]]:
     return workload, seeds
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(tree: str, workload: str, seed: int) -> dict:
     """One perfbench run in ``tree``: its result line and its run label."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -72,13 +71,12 @@ def summary(values: list[float]) -> dict:
     return out
 
 
-def record_workload(workload: str, seeds: list[int], trees: dict, specs: dict,
-                    seconds: float | None) -> dict:
+def record_workload(workload: str, seeds: list[int], trees: dict, specs: dict) -> dict:
     runs = []
     for k, seed in enumerate(seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            run = run_once(trees[side], workload, seed, seconds)
+            run = run_once(trees[side], workload, seed)
             run.update(side=side, seed=seed, first=position == 0)
             runs.append(run)
             values = {name: m["value"] for name, m in run["result"]["metrics"].items()}
@@ -113,8 +111,6 @@ def main() -> int:
     parser.add_argument("--change", required=True, help="source tree of the change")
     parser.add_argument("--runs", type=parse_runs, action="append", required=True,
                         metavar="WORKLOAD:SEEDS", help="e.g. gcds-chain:81-90; repeatable")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="perfbench --seconds (default: run_seconds in BENCHMARK.json)")
     parser.add_argument("--out", default=None, help="default: BENCH_<tag>.json here")
     args = parser.parse_args()
 
@@ -125,9 +121,9 @@ def main() -> int:
     doc = {
         "tag": args.tag,
         "benchmark": bench["command"],
-        "seconds": bench["run_seconds"] if args.seconds is None else args.seconds,
+        "seconds": bench["run_seconds"],
         "sides": list(SIDES),
-        "workloads": {workload: record_workload(workload, seeds, trees, specs, args.seconds)
+        "workloads": {workload: record_workload(workload, seeds, trees, specs)
                       for workload, seeds in args.runs},
     }
     out = args.out or f"BENCH_{args.tag}.json"

@@ -318,8 +318,8 @@ def _cmd_play(args):
             move = report.principal_variation[0]
             after = successor(game, state, entry, moves.index(move))
             if report.winner == mover:
-                assert game.solve(after, opponent(mover), cache).winner == mover, \
-                    "engine left a won game"
+                check = game.solve(after, opponent(mover), cache)
+                assert check.winner == mover, "engine left a won game"
             print(f"engine plays {move[0]},{move[1]}", file=sys.stderr)
         transcript.append({"mover": mover, "move": move_to_doc(move)})
         state = after

@@ -22,7 +22,7 @@ the size-checked public solver.  The search builds only the children it
 visits, in move order, and stops at the first winning one.  Each of the two
 successor memos is shared by every solve in the process.  It charges each
 state its full fan-out and is emptied when a new state would take the charge
-past MEMO_CHILDREN (2**18), so it never holds more children than that or one
+past MEMO_CHILDREN (2**16), so it never holds more children than that or one
 state's fan-out; :func:`clear_memos` empties both memos and
 :func:`memo_stats` reports on them.  The search
 is negamax with memoisation over the exact labelled state; no symmetry
@@ -140,8 +140,9 @@ class NpReport:
 # Canonical state keys and the persistent cache.
 
 def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
+    text = graph.key_text()  # first, so a bad graph label is the one reported
     fs = ",".join(key_label(v) for v in sorted(favorable, key=label_key))
-    return f"G|{graph.key_text()}|{fs}|{1 if mover == ONE else 2}"
+    return f"G|{text}|{fs}|{1 if mover == ONE else 2}"
 
 
 def perm_state_key(perm: Permutation, favorable: frozenset, mover: str) -> str:
@@ -274,8 +275,10 @@ def cds_terminal_winner(perm: Permutation, favorable: frozenset) -> str:
 
 # How many children one successor memo may hold.  A state is charged its full
 # fan-out when it enters; one that would pass the bound empties the table
-# first, and loops already running keep their own entry.
-MEMO_CHILDREN = 1 << 18
+# first, and loops already running keep their own entry.  A made child of the
+# 17-vertex chain 8 holds about 4.8 KB (graph, adjacency, key text), one of
+# B_20 about 0.6 KB, so a full memo is about 300 MB or 40 MB at those sizes.
+MEMO_CHILDREN = 1 << 16
 
 
 def _successor_memo(moves_of):

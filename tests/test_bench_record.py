@@ -26,7 +26,7 @@ def test_parse_runs():
 def test_pairs_alternate_and_are_summarised(monkeypatch):
     calls = []
 
-    def fake_run(tree, workload, seed, seconds):
+    def fake_run(tree, workload, seed):
         calls.append((tree, seed))
         cpu = seed + (0.5 if tree == "P" else 0.0)  # the change is faster on every seed
         return {"result": {"failed": 0, "metrics": {"cpu_s": {"value": cpu, "unit": "s"}}},
@@ -34,7 +34,7 @@ def test_pairs_alternate_and_are_summarised(monkeypatch):
 
     monkeypatch.setattr(record, "run_once", fake_run)
     doc = record.record_workload("cds-tight", [1, 2, 3, 4], {"parent": "P", "change": "C"},
-                                 SPECS, None)
+                                 SPECS)
     assert calls == [("P", 1), ("C", 1), ("C", 2), ("P", 2),
                      ("P", 3), ("C", 3), ("C", 4), ("P", 4)]
     assert doc["parent_first"] == [True, False, True, False]

@@ -185,6 +185,9 @@ def test_state_keys_are_stable_and_safe():
         graph_state_key(Graph(["a b"], []), frozenset(), ONE)
     with pytest.raises(ValueError):
         graph_state_key(Graph(["x|y"], []), frozenset(), ONE)
+    # The graph's first bad label is named, not a later favorable one.
+    with pytest.raises(ValueError, match="^vertex label 'a b' cannot be used"):
+        graph_state_key(Graph([1, "a b", "z|y"], [(1, "a b")]), frozenset({"z|y"}), ONE)
 
 
 def test_cache_round_trip(tmp_path):
@@ -524,11 +527,14 @@ def test_cached_key_text_equals_a_fresh_rendering(vertices, data):
     graph = Graph(vertices, edges)
     favorable = frozenset(data.draw(st.sets(st.sampled_from(sorted(vertices, key=str))))
                           if vertices else ())
-    labels = [str(v) for v in vertices]
-    if any(not s or set(s) & set("|,-\t\n ") for s in labels):
-        for _ in range(2):  # the bad label raises every time, not only the first
-            with pytest.raises(ValueError, match="cannot be used in a cache key"):
-                graph_state_key(graph, frozenset(), ONE)
+    bad = [v for v in graph.vertex_list() if not str(v) or set(str(v)) & set("|,-\t\n ")]
+    if bad:
+        # The first bad vertex in the key's order is named, even when a later
+        # one is favorable; and it raises every time, not only the first.
+        for fs in (frozenset(), frozenset(bad[-1:]), frozenset(bad[-1:]), frozenset()):
+            with pytest.raises(ValueError, match="cannot be used in a cache key") as err:
+                graph_state_key(graph, fs, ONE)
+            assert str(err.value) == f"vertex label {bad[0]!r} cannot be used in a cache key"
         return
     fresh = "G|{}|{}|{}|2".format(
         ",".join(str(v) for v in graph.vertex_list()),
