@@ -12,13 +12,22 @@ Both games alternate moves between players ONE and TWO until no move remains.
 
 Both games are finite alternating win/loss games, and one engine solves
 them.  A game object (CdsGame, GcdsGame) holds the favorable set, takes a
-bare Permutation or Graph as the state and supplies what the engine reads:
+bare Permutation or a graph's :class:`~cdsgame.graphs.Board` as the state
+and supplies what the engine reads:
 ``key(state, mover)``, ``outcome(state)`` (the winner at a terminal, else
 None), ``moves(state)`` (the state's successor-memo entry: its sorted move
 list and a list of the children made so far, each made by ``make(state,
 move)`` on first use, see :func:`successor`) and ``variant(state, depth)``
-(a natural number every move lowers); its ``solve(state, mover, cache)`` is
-the size-checked public solver.  The search builds only the children it
+(a natural number every move lowers); its ``solve(perm_or_graph, mover,
+cache)`` is the size-checked public solver.  A gcds state is a board: the
+alive vertices and the adjacency rows as bit masks over the root graph's
+labels, pivoted with mask operations (graphs.py).  Its key text is rendered
+from the bits once per board, byte for byte the text a Graph renders.  The
+gcds successor memo is keyed by that text, so roots with different label
+sets share entries where both label sets are plain (see graphs.py); its
+moves are label pairs, which ``make`` maps through the state's own
+universe.  The public solvers take labelled graphs and return label pairs.
+The search builds only the children it
 visits, in move order, and stops at the first winning one.  Each of the two
 successor memos is shared by every solve in the process.  It charges each
 state its full fan-out and is emptied when a new state would take the charge
@@ -40,7 +49,7 @@ import os
 from dataclasses import dataclass
 
 from .cyclegraph import SizeBoundError
-from .graphs import Graph, Position, apply_gcds2, key_label, label_key
+from .graphs import Board, Graph, Position
 from .permutations import (
     Permutation,
     apply_cds,
@@ -140,8 +149,16 @@ class NpReport:
 # Canonical state keys and the persistent cache.
 
 def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
-    text = graph.key_text()  # first, so a bad graph label is the one reported
-    fs = ",".join(key_label(v) for v in sorted(favorable, key=label_key))
+    """``G|vertices|edges|favorable|mover``; favorable labels outside the
+    graph are left out."""
+    return _board_key(graph.board(), favorable, mover)
+
+
+def _board_key(board: Board, favorable: frozenset, mover: str) -> str:
+    """The state key of a board, rendered from its bits."""
+    text = board.text()  # first, so a bad graph label is the one reported
+    universe = board.universe
+    fs = universe.render(universe.mask(favorable) & board.alive)
     return f"G|{text}|{fs}|{1 if mover == ONE else 2}"
 
 
@@ -275,14 +292,17 @@ def cds_terminal_winner(perm: Permutation, favorable: frozenset) -> str:
 
 # How many children one successor memo may hold.  A state is charged its full
 # fan-out when it enters; one that would pass the bound empties the table
-# first, and loops already running keep their own entry.  A made child of the
-# 17-vertex chain 8 holds about 4.8 KB (graph, adjacency, key text), one of
-# B_20 about 0.6 KB, so a full memo is about 300 MB or 40 MB at those sizes.
+# first, and loops already running keep their own entry.  Measured with
+# tracemalloc, the gcds memo holds about 0.7 KB per made child of the
+# 17-vertex chain 8 (the board, its key text, its share of the entries and
+# move lists) and the cds memo about 0.6 KB per child of B_20, so a full memo
+# is about 45 MB or 40 MB at those sizes.
 MEMO_CHILDREN = 1 << 16
 
 
-def _successor_memo(moves_of):
-    """A memo from a state to its entry ``(moves, children)``.
+def _successor_memo(moves_of, key_of=None):
+    """A memo from a state to its entry ``(moves, children)``, keyed by
+    ``key_of(state)`` (the state itself by default).
 
     ``moves`` is ``moves_of(state)``, the state's moves in the order the
     search tries them; ``children[i]`` is the child after ``moves[i]``, or
@@ -294,7 +314,8 @@ def _successor_memo(moves_of):
     counts = [0, 0, 0]  # hits, misses, children charged to the table
 
     def lookup(state) -> tuple:
-        found = table.get(state)
+        key = state if key_of is None else key_of(state)
+        found = table.get(key)
         if found is not None:
             counts[0] += 1
             return found
@@ -304,7 +325,7 @@ def _successor_memo(moves_of):
             table.clear()
             counts[2] = 0
         counts[2] += len(moves)
-        found = table[state] = (moves, [None] * len(moves))
+        found = table[key] = (moves, [None] * len(moves))
         return found
 
     def cache_info() -> tuple:
@@ -328,7 +349,7 @@ def _cds_moves(perm: Permutation) -> list:
 
 
 _cds_successors = _successor_memo(_cds_moves)
-_gcds_successors = _successor_memo(Graph.edge_list)
+_gcds_successors = _successor_memo(Board.moves, Board.memo_key)
 _MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
 
 
@@ -383,28 +404,30 @@ class CdsGame:
 
 @dataclass(frozen=True)
 class GcdsGame:
-    """GCDS(G, A) with favorable vertices A; a graph state is judged on A & V."""
+    """GCDS(G, A) with favorable vertices A.  The engine's states are boards
+    (``graph.board()`` and the boards made from it); a state is judged on
+    A & V.  ``solve`` takes a labelled graph."""
 
     favorable: frozenset
 
-    def key(self, graph: Graph, mover: str) -> str:
-        return graph_state_key(graph, self.favorable & graph.vertices, mover)
+    def key(self, board: Board, mover: str) -> str:
+        return _board_key(board, self.favorable, mover)
 
-    def outcome(self, graph: Graph) -> str | None:
-        if graph.edges:
+    def outcome(self, board: Board) -> str | None:
+        if any(board.rows):
             return None
-        return gcds_terminal_winner(Position(graph, self.favorable & graph.vertices))
+        alive = board.alive
+        return ONE if alive and not alive & ~board.universe.mask(self.favorable) else TWO
 
     moves = staticmethod(_gcds_successors)
 
     @staticmethod
-    def make(graph: Graph, edge: tuple) -> Graph:
-        return apply_gcds2(graph, edge)
+    def make(board: Board, edge: tuple) -> Board:
+        return board.apply_gcds2(*edge)
 
-    def variant(self, graph: Graph, depth: int) -> int:
-        # Taken per visited child, not in the successor memo: it builds the
-        # child's adjacency, which the memo would then hold for every child.
-        return graph.n_vertices() - len(graph.isolated_vertices())  # moves burn vertices
+    def variant(self, board: Board, depth: int) -> int:
+        rows = board.rows
+        return len(rows) - rows.count(0)  # vertices with an edge; moves burn them
 
     def solve(self, graph: Graph, mover: str, cache: SolveCache | None = None):
         position = Position(graph, self.favorable & graph.vertices)
@@ -479,7 +502,7 @@ def solve_gcds(
         raise SizeBoundError(
             f"gcds solver limited to {max_vertices} vertices, got {graph.n_vertices()}"
         )
-    return _solve(GcdsGame(state.position.favorable), graph, state.mover, cache)
+    return _solve(GcdsGame(state.position.favorable), graph.board(), state.mover, cache)
 
 
 def solve_cds(

@@ -19,19 +19,28 @@ as the reference implementation.
 together with every master-list vertex left isolated — except that the sole
 member of a one-element master list survives.  Vertices outside the move are
 never deleted, isolated or not.
+
+Both pivots run on a :class:`Board`: the graph as an ``alive`` bit mask and
+one adjacency mask per vertex, over a shared universe that numbers the
+labels in ``label_key`` order.  As masks each class is one AND/AND-NOT of the
+rows of x and y, and each class member's row toggles against the union of
+the other two classes.  ``apply_gcds``/``apply_gcds2`` take the board a
+``Graph`` keeps, pivot it and return a ``Graph``; the gcds solver plays on
+boards throughout and renders its state keys from the bits
+(:meth:`Board.text`), which is also what :meth:`Graph.key_text` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Hashable, Iterable, Mapping
+from typing import Collection, Hashable, Iterable, Mapping
 
 from .cyclegraph import SizeBoundError
 
 __all__ = [
     "NotAnEdgeError",
     "Graph",
+    "Board",
     "MasterList",
     "Position",
     "label_key",
@@ -72,7 +81,7 @@ def key_label(v: Label) -> str:
 class Graph:
     """Immutable undirected simple graph (no loops, no multi-edges)."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_hash", "_key")
+    __slots__ = ("vertices", "edges", "_adj", "_hash", "_board")
 
     vertices: frozenset
     edges: frozenset
@@ -87,14 +96,22 @@ class Graph:
             if a not in vs or b not in vs:
                 raise ValueError(f"edge {{{a!r}, {b!r}}} has an endpoint outside the vertex set")
             es.add(frozenset((a, b)))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(es))
+        self._fill(vs, frozenset(es), None)
+
+    def _fill(self, vertices: frozenset, edges: frozenset, board: "Board | None") -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_board", board)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # Rebuilt through the validating constructor; the kept adjacency,
+        # hash and board are left behind.
+        return Graph, (tuple(self.vertices), tuple(tuple(e) for e in self.edges))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -154,17 +171,28 @@ class Graph:
         pairs.sort(key=lambda pair: (label_key(pair[0]), label_key(pair[1])))
         return pairs
 
+    def board(self) -> "Board":
+        """The graph as a :class:`Board` over a universe of its own labels,
+        built on first use and kept."""
+        board = self._board
+        if board is None:
+            universe = _Universe(self.vertices)
+            index = universe.index
+            rows = [0] * len(index)
+            for edge in self.edges:
+                a, b = edge
+                i, j = index[a], index[b]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            board = Board((1 << len(rows)) - 1, tuple(rows), universe)
+            object.__setattr__(self, "_board", board)
+        return board
+
     def key_text(self) -> str:
-        """``vertices|edges`` as the solver's state keys write them, rendered
-        on first use and kept; a label :func:`key_label` rejects raises every
+        """``vertices|edges`` as the solver's state keys write them (see
+        :meth:`Board.text`); a label :func:`key_label` rejects raises every
         time."""
-        text = self._key
-        if text is None:
-            vs = ",".join(key_label(v) for v in self.vertex_list())
-            es = ",".join(f"{key_label(a)}-{key_label(b)}" for a, b in self.edge_list())
-            text = f"{vs}|{es}"
-            object.__setattr__(self, "_key", text)
-        return text
+        return self.board().text()
 
     def without_vertices(self, doomed: Iterable[Label]) -> "Graph":
         gone = frozenset(doomed)
@@ -177,6 +205,170 @@ class Graph:
             (mapping[v] for v in self.vertices),
             ((mapping[a], mapping[b]) for a, b in self.edge_list()),
         )
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _is_int_text(s: str) -> bool:
+    try:
+        return str(int(s)) == s
+    except ValueError:
+        return False
+
+
+class _Universe:
+    """What the bits of a family of boards stand for: a root graph's labels
+    in ``label_key`` order, the label -> bit index map, and each label's key
+    string (None where :func:`key_label` rejects the label).
+
+    The universe is *plain* when every label is an int or a str that is no
+    int's text.  A key string then names the same label in every plain
+    universe, so boards of two plain universes with the same text are the
+    same labelled graph.
+    """
+
+    __slots__ = ("labels", "index", "plain", "_names", "_masks")
+
+    def __init__(self, vertices: Collection[Label]):
+        if all(type(v) is int for v in vertices):
+            labels, plain = sorted(vertices), True  # label_key order for ints
+        else:
+            labels = sorted(vertices, key=label_key)
+            plain = all(type(v) is int or (type(v) is str and not _is_int_text(v))
+                        for v in labels)
+        self.labels = tuple(labels)
+        self.index = dict(zip(labels, range(len(labels))))
+        self.plain = plain
+        self._names: tuple | None = None
+        self._masks: dict[frozenset, int] = {}
+
+    @property
+    def names(self) -> tuple:
+        """Each label's key string, or None for a label :func:`key_label`
+        rejects; made on first use."""
+        names = self._names
+        if names is None:
+            names = self._names = tuple(
+                None if not s or _KEY_FORBIDDEN.intersection(s) else s
+                for s in map(str, self.labels))
+        return names
+
+    def mask(self, labels: frozenset) -> int:
+        """The bits of those of ``labels`` that are in the universe, kept per set."""
+        found = self._masks.get(labels)
+        if found is None:
+            found = 0
+            for v in labels:
+                i = self.index.get(v)
+                if i is not None:
+                    found |= 1 << i
+            self._masks[labels] = found
+        return found
+
+    def render(self, mask: int) -> str:
+        """The key strings of the labels in ``mask``, comma-separated, in bit order."""
+        names = self.names
+        return ",".join([names[i] for i in _bits(mask)])
+
+
+class Board:
+    """A graph as masks over a universe: bit i of ``alive`` is set when
+    ``universe.labels[i]`` is a vertex, and ``rows[i]`` is the mask of its
+    neighbours (0 when it is not).  A board is never changed once made; its
+    key text is rendered on first use and kept."""
+
+    __slots__ = ("alive", "rows", "universe", "_text")
+
+    def __init__(self, alive: int, rows: tuple, universe: _Universe):
+        self.alive = alive
+        self.rows = rows
+        self.universe = universe
+        self._text = None
+
+    def text(self) -> str:
+        """``vertices|edges``: the vertices' key strings in bit order, then
+        ``a-b`` for each edge in the order of the pair (a, b), a before b.
+        Bit order is ``label_key`` order, so this is byte for byte the
+        rendering of ``vertex_list()`` and ``edge_list()``."""
+        text = self._text
+        if text is None:
+            names, rows = self.universe.names, self.rows
+            vs, es = [], []
+            m = self.alive
+            while m:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                name = names[i]
+                vs.append(name)
+                up = rows[i] & -(low << 1)  # the neighbours above i
+                while up:
+                    bit = up & -up
+                    up ^= bit
+                    es.append(f"{name}-{names[bit.bit_length() - 1]}")
+            if None in vs:  # raise for the first label that cannot be keyed
+                for i in _bits(self.alive):
+                    key_label(self.universe.labels[i])
+            text = self._text = f"{','.join(vs)}|{','.join(es)}"
+        return text
+
+    def memo_key(self):
+        """The text, which identifies the labelled graph among boards of plain
+        universes; paired with the universe otherwise."""
+        return self.text() if self.universe.plain else (self.text(), self.universe)
+
+    def moves(self) -> list[tuple]:
+        """The edges as label pairs, in ``Graph.edge_list()`` order."""
+        labels, rows = self.universe.labels, self.rows
+        out = []
+        m = self.alive
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            a = labels[i]
+            up = rows[i] & -(low << 1)
+            while up:
+                bit = up & -up
+                up ^= bit
+                out.append((a, labels[bit.bit_length() - 1]))
+        return out
+
+    def apply_gcds(self, a: Label, b: Label) -> "Board":
+        """The pivot at the edge {a, b}; every vertex stays."""
+        index = self.universe.index
+        rows = list(self.rows)
+        _pivot(rows, index[a], index[b])
+        return Board(self.alive, tuple(rows), self.universe)
+
+    def apply_gcds2(self, a: Label, b: Label) -> "Board":
+        """The pivot at {a, b}, pruned as :func:`apply_gcds2` says."""
+        index = self.universe.index
+        x, y = index[a], index[b]
+        rows = list(self.rows)
+        members = _pivot(rows, x, y)
+        alive = self.alive & ~(1 << x | 1 << y)
+        if members & (members - 1):  # more than one member
+            while members:
+                low = members & -members
+                members ^= low
+                if not rows[low.bit_length() - 1]:
+                    alive ^= low
+        return Board(alive, tuple(rows), self.universe)
+
+    def graph(self) -> Graph:
+        """The labelled graph, which keeps this board."""
+        labels = self.universe.labels
+        g = object.__new__(Graph)
+        g._fill(frozenset([labels[i] for i in _bits(self.alive)]),
+                frozenset(map(frozenset, self.moves())), self)
+        return g
 
 
 @dataclass(frozen=True)
@@ -210,26 +402,33 @@ def masterlist(g: Graph, edge) -> MasterList:
     )
 
 
-def _pivot(g: Graph, edge) -> tuple[Label, Label, frozenset, set]:
-    """The pivot pair, the master-list members and the pivoted edge set.
+def _pivot(rows: list, x: int, y: int) -> int:
+    """Pivot the adjacency masks ``rows`` at the edge {x, y} in place and
+    return the master list's members as a mask.
 
-    The columns split the members into three classes, N(x) \\ N(y),
-    N(y) \\ N(x) and N(x) & N(y) (x and y left out); every pair that crosses
-    two classes toggles, and every edge at x or y goes.
+    The columns N(x) \\ {y} and N(y) \\ {x} split the members into three
+    classes, N(x) \\ N(y), N(y) \\ N(x) and N(x) & N(y); each member's row
+    toggles against the union of the other two classes, and every edge at x
+    or y goes.
     """
-    ml = masterlist(g, edge)  # the one check that edge is an edge
-    x, y = edge
-    cx, cy = ml.column_x, ml.column_y
-    edges = {e for e in g.edges if x not in e and y not in e}
-    for a, b in combinations((cx - cy, cy - cx, cx & cy), 2):
-        edges.symmetric_difference_update(frozenset((p, q)) for p in a for q in b)
-    return x, y, ml.members(), edges
+    bx, by = 1 << x, 1 << y
+    assert rows[x] & by, "the pivot pair must be an edge"
+    cx, cy = rows[x] ^ by, rows[y] ^ bx
+    gone = ~(bx | by)
+    for cls, other in ((cx & ~cy, cy), (cy & ~cx, cx), (cx & cy, cx ^ cy)):
+        while cls:
+            low = cls & -cls
+            cls ^= low
+            i = low.bit_length() - 1
+            rows[i] = (rows[i] ^ other) & gone
+    rows[x] = rows[y] = 0
+    return cx | cy
 
 
 def apply_gcds(g: Graph, edge) -> Graph:
     """Pivot at an edge; the vertex set is unchanged and x, y end up isolated."""
-    *_, edges = _pivot(g, edge)
-    return Graph(g.vertices, edges)
+    x, y = _check_edge(g, edge)
+    return g.board().apply_gcds(x, y).graph()
 
 
 def apply_gcds2(g: Graph, edge) -> Graph:
@@ -238,11 +437,8 @@ def apply_gcds2(g: Graph, edge) -> Graph:
     A one-element master list is the exception: its sole member survives even
     when isolated.  Vertices outside the move always survive.
     """
-    x, y, members, edges = _pivot(g, edge)
-    keep = g.vertices - {x, y}
-    if len(members) > 1:
-        keep -= members.difference(*edges)
-    return Graph(keep, edges)
+    x, y = _check_edge(g, edge)
+    return g.board().apply_gcds2(x, y).graph()
 
 
 # ---------------------------------------------------------------------------

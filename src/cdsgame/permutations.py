@@ -104,6 +104,10 @@ class Permutation:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        # Rebuilt through the validating constructor; the kept word is left behind.
+        return Permutation, (self.entries,)
+
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -35,6 +35,8 @@ from cdsgame.games import (
 from cdsgame.graphs import Graph, Position, apply_gcds2
 from cdsgame.permutations import Permutation, apply_cds, identity, legal_moves
 
+from test_graphs import _reference_apply_gcds2, all_graphs
+
 
 REPLAY_GRAPH = Graph(
     range(1, 8),
@@ -346,7 +348,8 @@ def test_cds_state_rejects_bool_codes():
     CdsState(Permutation([2, 4, 1, 3]), frozenset({1}), ONE)
 
 
-# Plain uncached minimax, written from the rules of the two games.
+# Plain uncached minimax, written from the rules of the two games.  The gcds
+# one pivots by the master-list rules, not through the solver's mask pivot.
 def _minimax_cds(perm, favorable, mover):
     moves = sorted(legal_moves(perm))
     if not moves:  # a fixed point: the identity, or the rotation with code e[0]-1
@@ -362,7 +365,7 @@ def _minimax_gcds(graph, favorable, mover):
         alive = graph.vertices
         return ONE if alive and alive <= favorable else TWO
     for edge in graph.edge_list():
-        child = apply_gcds2(graph, edge)
+        child = _reference_apply_gcds2(graph, edge)
         if _minimax_gcds(child, favorable & child.vertices, opponent(mover)) == mover:
             return mover
     return opponent(mover)
@@ -401,6 +404,27 @@ def test_gcds_engine_agrees_with_plain_minimax(game):
     graph, favorable, mover = game
     assert solve_gcds(GcdsState(Position(graph, favorable), mover)).winner == _minimax_gcds(
         graph, favorable, mover)
+
+
+def _assert_gcds_engine_agrees_on_every_game(n):
+    """Every labelled graph on 1..n, every favorable set, both movers."""
+    for graph in all_graphs(n):
+        vertices = graph.vertex_list()
+        for mask in range(1 << n):
+            favorable = frozenset(v for i, v in enumerate(vertices) if mask >> i & 1)
+            for mover in (ONE, TWO):
+                solved = solve_gcds(GcdsState(Position(graph, favorable), mover)).winner
+                assert solved == _minimax_gcds(graph, favorable, mover), (graph, favorable, mover)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_gcds_engine_agrees_with_plain_minimax_on_every_small_game(n):
+    _assert_gcds_engine_agrees_on_every_game(n)
+
+
+@pytest.mark.slow
+def test_gcds_engine_agrees_with_plain_minimax_on_every_five_vertex_game():
+    _assert_gcds_engine_agrees_on_every_game(5)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +474,7 @@ def test_bounded_memo_gives_the_same_reports(monkeypatch):
 
     def watch(key):
         def keyed(state, favorable, mover):
-            moves = legal_moves(state) if isinstance(state, Permutation) else state.edges
+            moves = legal_moves(state) if isinstance(state, Permutation) else state.moves()
             fan_out[0] = max(fan_out[0], len(moves))
             held.append(max(m["children"] for m in memo_stats().values()))
             return key(state, favorable, mover)
@@ -458,7 +482,7 @@ def test_bounded_memo_gives_the_same_reports(monkeypatch):
 
     monkeypatch.setattr(games, "MEMO_CHILDREN", bound)
     monkeypatch.setattr(games, "perm_state_key", watch(games.perm_state_key))
-    monkeypatch.setattr(games, "graph_state_key", watch(games.graph_state_key))
+    monkeypatch.setattr(games, "_board_key", watch(games._board_key))
     clear_memos()
     assert list(_pinned_solves()) == expected
     assert max(held) <= bound + fan_out[0]
@@ -480,9 +504,53 @@ def test_clear_memos_empties_both_memos():
     assert solve_cds(state) == first
 
 
-def _built_prefixes(game, root, reference):
+def _cross_universe_pairs():
+    """Pairs of positions whose solves meet the same key texts under different
+    label sets: a graph with an induced subgraph, with a child rebuilt as a
+    graph of its own, the same with mixed int/str labels, and two graphs whose
+    labels 1..5 and "1".."5" render alike."""
+    chain, favorable = gen_chain(4), gen_favorable(4)
+    mixed_names = {v: v if v % 2 else f"v{v}" for v in chain.vertices}
+    mixed = chain.relabel(mixed_names)
+    mixed_favorable = frozenset(mixed_names[v] for v in favorable)
+    for graph, fav in ((chain, favorable), (mixed, mixed_favorable)):
+        first = graph.edge_list()[0]
+        child = apply_gcds2(graph, first)
+        for smaller in (graph.without_vertices([graph.vertex_list()[0]]),
+                        Graph(child.vertices, child.edges)):
+            yield Position(graph, fav), Position(smaller, fav & smaller.vertices)
+    ints = REPLAY_GRAPH.without_vertices([6, 7])
+    strs = ints.relabel({v: str(v) for v in ints.vertices})
+    assert strs.key_text() == ints.key_text()
+    yield Position(ints, frozenset({1, 3, 5})), Position(strs, frozenset({"1", "3", "5"}))
+
+
+def test_memo_shared_across_label_sets_gives_fresh_reports():
+    def solves(position):
+        before = memo_stats()["gcds"]["misses"]
+        reports = [solve_gcds(GcdsState(position, mover)) for mover in (ONE, TWO)]
+        return reports, memo_stats()["gcds"]["misses"] - before
+
+    shared = 0
+    for pair in _cross_universe_pairs():
+        fresh = []
+        for position in pair:
+            clear_memos()
+            fresh.append(solves(position))
+        for first, second in ((0, 1), (1, 0)):
+            clear_memos()
+            solves(pair[first])
+            reports, misses = solves(pair[second])
+            assert reports == fresh[second][0]
+            shared += misses < fresh[second][1]
+    assert shared  # some second solve used entries that the first one built
+    clear_memos()
+
+
+def _built_prefixes(game, root, reference, view=lambda state: state):
     """Walk every memo entry the engine built below ``root``: its children must
-    be made in move order and equal the eager ``reference(state)`` list."""
+    be made in move order and, seen through ``view``, equal the eager
+    ``reference(state)`` list."""
     seen, todo = set(), [root]
     while todo:
         state = todo.pop()
@@ -492,7 +560,7 @@ def _built_prefixes(game, root, reference):
         moves, children = game.moves(state)
         made = [c for c in children if c is not None]
         assert children[:len(made)] == made  # a prefix, in move order
-        assert list(zip(moves, made)) == reference(state)[:len(made)]
+        assert [(m, view(c)) for m, c in zip(moves, made)] == reference(state)[:len(made)]
         todo += made
 
 
@@ -512,8 +580,10 @@ def test_lazy_gcds_successors_match_the_eager_list(game):
     graph, favorable, mover = game
     clear_memos()
     solve_gcds(GcdsState(Position(graph, favorable), mover))
-    _built_prefixes(GcdsGame(favorable), graph,
-                    lambda g: [(e, apply_gcds2(g, e)) for e in g.edge_list()])
+    _built_prefixes(GcdsGame(favorable), graph.board(),
+                    lambda b: [(e, _reference_apply_gcds2(b.graph(), e))
+                               for e in b.graph().edge_list()],
+                    view=lambda b: b.graph())
 
 
 _LABELS = st.one_of(st.integers(-5, 30), st.text("abcXYZ0123_|,- ", min_size=0, max_size=3))

@@ -1,5 +1,7 @@
 """Tests for graphs, the gcds pivot, pruning, and isomorphism search."""
 
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -106,6 +108,24 @@ def test_graph_equality_ignores_edge_listing_order():
     b = Graph({3, 2, 1}, [(3, 2), (2, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != Graph([1, 2, 3], [(1, 2)])
+
+
+def _clones(obj):
+    return [pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)]
+
+
+def test_graph_pickles_and_copies_through_its_constructor():
+    g = Graph([3, 1, "b", "a"], [("b", 1), (3, "a"), (1, 3)])
+    child = apply_gcds2(g, (1, 3))  # keeps a board over g's labels
+    for graph in (g, child, Graph([1, "a b"], [(1, "a b")])):
+        for clone in _clones(graph):
+            assert clone == graph and hash(clone) == hash(graph)
+            assert clone._board is None and clone._adj is None
+            if "a b" not in graph.vertices:
+                assert clone.key_text() == graph.key_text()
+    assert g.key_text() == "1,3,a,b|1-3,1-b,3-a"
+    assert child.key_text() == "a,b|a-b"
+    assert Graph.__reduce__(g)[0] is Graph
 
 
 def test_vertex_and_edge_lists_are_sorted():

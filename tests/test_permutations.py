@@ -1,5 +1,7 @@
 """Tests for the cds rewrite on permutations."""
 
+import copy
+import pickle
 import random
 from itertools import permutations as all_words
 
@@ -60,6 +62,15 @@ def test_permutation_is_immutable_and_hashable():
     assert perm == Permutation((2, 1))
     assert hash(perm) == hash(Permutation([2, 1]))
     assert perm.position_of(2) == 1
+
+
+def test_permutation_pickles_and_copies_through_its_constructor():
+    perm = Permutation([3, 1, 2])
+    assert perm.word() == "3 1 2"
+    for clone in (pickle.loads(pickle.dumps(perm)), copy.copy(perm), copy.deepcopy(perm)):
+        assert clone == perm and hash(clone) == hash(perm)
+        assert clone._word is None and clone.word() == "3 1 2"
+    assert Permutation.__reduce__(perm) == (Permutation, ((3, 1, 2),))
 
 
 def test_pointer_occurrence_positions_and_sides():
