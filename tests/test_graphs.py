@@ -195,7 +195,9 @@ def test_gcds_routes_agree_on_random_graphs_up_to_seven_vertices():
 
 @st.composite
 def _mixed_label_graphs(draw):
-    labels = draw(st.lists(st.one_of(st.integers(-3, 30), st.text("abcxyz", max_size=2)),
+    # Labels a state key cannot hold ("a b", "x|", None) must pivot all the same.
+    labels = draw(st.lists(st.one_of(st.integers(-3, 30), st.text("abcxyz |,-", max_size=2),
+                                     st.none(), st.tuples(st.integers(0, 2))),
                            min_size=2, max_size=12, unique=True))
     pairs = list(combinations(labels, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
