@@ -24,8 +24,8 @@ alive vertices and the adjacency rows as bit masks over the root graph's
 labels, pivoted with mask operations (graphs.py).  Its key text is rendered
 from the bits once per board, byte for byte the text a Graph renders.  The
 gcds successor memo is keyed by that text, so roots with different label
-sets share entries where both label sets are plain (see graphs.py); its
-moves are label pairs, which ``make`` maps through the state's own
+sets share entries where both label sets are plain (see graphs.py; other
+boards are keyed by their bits and universe); its moves are label pairs, which ``make`` maps through the state's own
 universe.  The public solvers take labelled graphs and return label pairs.
 The search builds only the children it
 visits, in move order, and stops at the first winning one.  Each of the two
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cyclegraph import SizeBoundError
 from .graphs import Board, Graph, Position
@@ -151,14 +151,15 @@ class NpReport:
 def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
     """``G|vertices|edges|favorable|mover``; favorable labels outside the
     graph are left out."""
-    return _board_key(graph.board(), favorable, mover)
+    board = graph.board()
+    return _board_key(board, board.universe.mask(favorable), mover)
 
 
-def _board_key(board: Board, favorable: frozenset, mover: str) -> str:
-    """The state key of a board, rendered from its bits."""
+def _board_key(board: Board, favorable: int, mover: str) -> str:
+    """The state key of a board, rendered from its bits; ``favorable`` is
+    the favorable labels' mask over the board's universe."""
     text = board.text()  # first, so a bad graph label is the one reported
-    universe = board.universe
-    fs = universe.render(universe.mask(favorable) & board.alive)
+    fs = board.universe.render(favorable & board.alive)
     return f"G|{text}|{fs}|{1 if mover == ONE else 2}"
 
 
@@ -406,18 +407,27 @@ class CdsGame:
 class GcdsGame:
     """GCDS(G, A) with favorable vertices A.  The engine's states are boards
     (``graph.board()`` and the boards made from it); a state is judged on
-    A & V.  ``solve`` takes a labelled graph."""
+    A & V.  ``solve`` takes a labelled graph.  The favorable set's mask is
+    kept per universe the game meets, so it lives as long as the game."""
 
     favorable: frozenset
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _favorable_mask(self, board: Board) -> int:
+        universe = board.universe
+        found = self._masks.get(universe)
+        if found is None:
+            found = self._masks[universe] = universe.mask(self.favorable)
+        return found
 
     def key(self, board: Board, mover: str) -> str:
-        return _board_key(board, self.favorable, mover)
+        return _board_key(board, self._favorable_mask(board), mover)
 
     def outcome(self, board: Board) -> str | None:
         if any(board.rows):
             return None
         alive = board.alive
-        return ONE if alive and not alive & ~board.universe.mask(self.favorable) else TWO
+        return ONE if alive and not alive & ~self._favorable_mask(board) else TWO
 
     moves = staticmethod(_gcds_successors)
 

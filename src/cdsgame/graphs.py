@@ -233,20 +233,15 @@ class _Universe:
     same labelled graph.
     """
 
-    __slots__ = ("labels", "index", "plain", "_names", "_masks")
+    __slots__ = ("labels", "index", "plain", "_names")
 
     def __init__(self, vertices: Collection[Label]):
-        if all(type(v) is int for v in vertices):
-            labels, plain = sorted(vertices), True  # label_key order for ints
-        else:
-            labels = sorted(vertices, key=label_key)
-            plain = all(type(v) is int or (type(v) is str and not _is_int_text(v))
-                        for v in labels)
+        labels = sorted(vertices, key=label_key)
         self.labels = tuple(labels)
         self.index = dict(zip(labels, range(len(labels))))
-        self.plain = plain
+        self.plain = all(type(v) is int or (type(v) is str and not _is_int_text(v))
+                         for v in labels)
         self._names: tuple | None = None
-        self._masks: dict[frozenset, int] = {}
 
     @property
     def names(self) -> tuple:
@@ -259,16 +254,13 @@ class _Universe:
                 for s in map(str, self.labels))
         return names
 
-    def mask(self, labels: frozenset) -> int:
-        """The bits of those of ``labels`` that are in the universe, kept per set."""
-        found = self._masks.get(labels)
-        if found is None:
-            found = 0
-            for v in labels:
-                i = self.index.get(v)
-                if i is not None:
-                    found |= 1 << i
-            self._masks[labels] = found
+    def mask(self, labels: Iterable[Label]) -> int:
+        """The bits of those of ``labels`` that are in the universe."""
+        index, found = self.index, 0
+        for v in labels:
+            i = index.get(v)
+            if i is not None:
+                found |= 1 << i
         return found
 
     def render(self, mask: int) -> str:
@@ -320,8 +312,12 @@ class Board:
 
     def memo_key(self):
         """The text, which identifies the labelled graph among boards of plain
-        universes; paired with the universe otherwise."""
-        return self.text() if self.universe.plain else (self.text(), self.universe)
+        universes.  Otherwise one text can name different boards of one
+        universe (1 and "1" both render as 1), so the key is the bits and
+        the universe."""
+        if self.universe.plain:
+            return self.text()
+        return self.alive, self.rows, self.universe
 
     def moves(self) -> list[tuple]:
         """The edges as label pairs, in ``Graph.edge_list()`` order."""

@@ -547,6 +547,25 @@ def test_memo_shared_across_label_sets_gives_fresh_reports():
     clear_memos()
 
 
+def test_memo_tells_apart_boards_of_one_universe_with_one_text():
+    # 1 and "1" both render as 1: the move (1, 2) leaves the path "1"-"2"-x
+    # and the move ("1", "2") leaves 1-2-x, two boards with one key text.
+    graph = Graph([1, 2, "1", "2", "x"], [(1, 2), (2, "x"), ("1", "2"), ("2", "x")])
+    assert (apply_gcds2(graph, (1, 2)).key_text()
+            == apply_gcds2(graph, ("1", "2")).key_text() == "1,2,x|1-2,2-x")
+    vertices = graph.vertex_list()
+    for shared in (False, True):
+        clear_memos()
+        for mask in range(1 << len(vertices)):
+            favorable = frozenset(v for i, v in enumerate(vertices) if mask >> i & 1)
+            for mover in (ONE, TWO):
+                if not shared:
+                    clear_memos()
+                solved = solve_gcds(GcdsState(Position(graph, favorable), mover)).winner
+                assert solved == _minimax_gcds(graph, favorable, mover), (favorable, mover)
+    clear_memos()
+
+
 def _built_prefixes(game, root, reference, view=lambda state: state):
     """Walk every memo entry the engine built below ``root``: its children must
     be made in move order and, seen through ``view``, equal the eager
