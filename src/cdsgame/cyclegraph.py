@@ -20,8 +20,6 @@ test-suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .permutations import (
     Permutation,
     apply_cds,
@@ -30,6 +28,7 @@ from .permutations import (
     is_fixed_point,
     legal_moves,
 )
+from .record import Record
 
 __all__ = [
     "SizeBoundError",
@@ -49,9 +48,10 @@ class SizeBoundError(Exception):
     """Raised when an exhaustive computation is asked to exceed its size bound."""
 
 
-@dataclass(frozen=True)
-class CycleGraph:
+class CycleGraph(Record):
     """Cycle graph on vertices 0..n+1 with black successors stored per vertex."""
+
+    __slots__ = ("n", "black_successor")
 
     n: int
     black_successor: dict[int, int]
@@ -69,9 +69,10 @@ class CycleGraph:
 Edge = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class AltCycleDecomposition:
+class AltCycleDecomposition(Record):
     """Partition of all dotted and black edges into alternating cycles."""
+
+    __slots__ = ("cycles",)
 
     cycles: tuple[tuple[Edge, ...], ...]
 
@@ -79,9 +80,10 @@ class AltCycleDecomposition:
         return len(self.cycles)
 
 
-@dataclass(frozen=True)
-class StrategicPile:
+class StrategicPile(Record):
     """Pile codes in walk order (may be empty)."""
+
+    __slots__ = ("codes",)
 
     codes: tuple[int, ...]
 

@@ -24,11 +24,10 @@ only on the pile size and the favorable-set size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, Position, are_isomorphic, positions_isomorphic
 from .overlap import overlap_graph
 from .permutations import Permutation
+from .record import Record
 
 __all__ = [
     "ConstructionError",
@@ -112,9 +111,10 @@ def tight_instance(n: int) -> tuple[Permutation, frozenset[int]]:
     return alpha, favorable
 
 
-@dataclass(frozen=True)
-class BoundPrediction:
+class BoundPrediction(Record):
     """Verdict ONE | TWO | UNDETERMINED plus the names of all rules that fired."""
+
+    __slots__ = ("verdict", "rules")
 
     verdict: str
     rules: tuple[str, ...]

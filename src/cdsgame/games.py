@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
 
 from .cyclegraph import SizeBoundError
 from .graphs import Board, Graph, Position
@@ -57,6 +56,7 @@ from .permutations import (
     is_fixed_point,
     legal_moves,
 )
+from .record import Record
 
 __all__ = [
     "ONE",
@@ -96,22 +96,24 @@ def opponent(player: str) -> str:
     raise ValueError(f"unknown player {player!r}")
 
 
-@dataclass(frozen=True)
-class GcdsState:
+class GcdsState(Record):
+    __slots__ = ("position", "mover")
+
     position: Position
     mover: str
 
-    def __post_init__(self):
+    def _check(self) -> None:
         opponent(self.mover)  # validates
 
 
-@dataclass(frozen=True)
-class CdsState:
+class CdsState(Record):
+    __slots__ = ("perm", "favorable", "mover")
+
     perm: Permutation
     favorable: frozenset
     mover: str
 
-    def __post_init__(self):
+    def _check(self) -> None:
         opponent(self.mover)
         bad = [c for c in self.favorable
                if isinstance(c, bool) or not (isinstance(c, int) and 1 <= c <= self.perm.n - 1)]
@@ -119,22 +121,24 @@ class CdsState:
             raise ValueError(f"favorable codes {sorted(map(str, bad))} out of range 1..{self.perm.n - 1}")
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
+    __slots__ = ("winner", "principal_variation", "nodes_expanded", "cache_hits")
+
     winner: str
     principal_variation: tuple
     nodes_expanded: int
     cache_hits: int
 
 
-@dataclass(frozen=True)
-class NpReport:
+class NpReport(Record):
     """Outcome class of a position: N (next player wins) or P (previous does).
 
     Derived from two solves, one per first mover.  When the two winners do
     not form a consistent N or P pattern the status is None and ``anomaly``
     is set; callers report this rather than crash.
     """
+
+    __slots__ = ("status", "winner_one_first", "winner_two_first")
 
     status: str | None
     winner_one_first: str
@@ -378,9 +382,10 @@ def successor(game, state, entry: tuple, i: int):
 # ---------------------------------------------------------------------------
 # The two games, as objects of the protocol the engine reads.
 
-@dataclass(frozen=True)
-class CdsGame:
+class CdsGame(Record):
     """CDS(alpha, A) with favorable codes A; states are permutations."""
+
+    __slots__ = ("favorable",)
 
     favorable: frozenset
 
@@ -403,15 +408,37 @@ class CdsGame:
         return solve_cds(CdsState(perm, self.favorable, mover), cache)
 
 
-@dataclass(frozen=True)
 class GcdsGame:
     """GCDS(G, A) with favorable vertices A.  The engine's states are boards
     (``graph.board()`` and the boards made from it); a state is judged on
     A & V.  ``solve`` takes a labelled graph.  The favorable set's mask is
-    kept per universe the game meets, so it lives as long as the game."""
+    kept per universe the game meets, so it lives as long as the game; games
+    compare and hash by A alone."""
+
+    __slots__ = ("favorable", "_masks")
 
     favorable: frozenset
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __init__(self, favorable: frozenset):
+        object.__setattr__(self, "favorable", favorable)
+        object.__setattr__(self, "_masks", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return GcdsGame, (self.favorable,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GcdsGame:
+            return NotImplemented
+        return self.favorable == other.favorable
+
+    def __hash__(self) -> int:
+        return hash((self.favorable,))
+
+    def __repr__(self) -> str:
+        return f"GcdsGame(favorable={self.favorable!r})"
 
     def _favorable_mask(self, board: Board) -> int:
         universe = board.universe
@@ -447,10 +474,12 @@ class GcdsGame:
 # ---------------------------------------------------------------------------
 # The search engine: negamax with a memo, then the principal variation.
 
-@dataclass
 class _Stats:
-    expanded: int = 0
-    hits: int = 0
+    __slots__ = ("expanded", "hits")
+
+    def __init__(self) -> None:
+        self.expanded = 0
+        self.hits = 0
 
 
 def _value(game, state, mover: str, cache: SolveCache, stats: _Stats, depth: int = 0) -> str:

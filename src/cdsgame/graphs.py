@@ -32,10 +32,10 @@ boards throughout and renders its state keys from the bits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Hashable, Iterable, Mapping
 
 from .cyclegraph import SizeBoundError
+from .record import Record
 
 __all__ = [
     "NotAnEdgeError",
@@ -70,10 +70,14 @@ def label_key(v: Label):
 _KEY_FORBIDDEN = frozenset("|,-\t\n ")
 
 
+def _is_key_text(s: str) -> bool:
+    return bool(s) and not _KEY_FORBIDDEN.intersection(s)
+
+
 def key_label(v: Label) -> str:
     """``str(v)``, checked to be usable inside a solver state key."""
     s = str(v)
-    if not s or _KEY_FORBIDDEN.intersection(s):
+    if not _is_key_text(s):
         raise ValueError(f"vertex label {v!r} cannot be used in a cache key")
     return s
 
@@ -225,7 +229,10 @@ def _is_int_text(s: str) -> bool:
 class _Universe:
     """What the bits of a family of boards stand for: a root graph's labels
     in ``label_key`` order, the label -> bit index map, and each label's key
-    string (None where :func:`key_label` rejects the label).
+    string (None where :func:`key_label` rejects the label).  A label's key
+    string is its ``str``, unless two labels of the universe have the same
+    ``str`` (1 and "1"): then every label is keyed by its ``repr``, so that
+    no two states of the universe share a key.
 
     The universe is *plain* when every label is an int or a str that is no
     int's text.  A key string then names the same label in every plain
@@ -246,12 +253,14 @@ class _Universe:
     @property
     def names(self) -> tuple:
         """Each label's key string, or None for a label :func:`key_label`
-        rejects; made on first use."""
+        rejects (or whose ``repr`` it would reject, where labels are keyed
+        by ``repr``); made on first use."""
         names = self._names
         if names is None:
-            names = self._names = tuple(
-                None if not s or _KEY_FORBIDDEN.intersection(s) else s
-                for s in map(str, self.labels))
+            texts = list(map(str, self.labels))
+            if len(set(texts)) < len(texts):
+                texts = [repr(v) if _is_key_text(s) else s for v, s in zip(self.labels, texts)]
+            names = self._names = tuple(s if _is_key_text(s) else None for s in texts)
         return names
 
     def mask(self, labels: Iterable[Label]) -> int:
@@ -305,8 +314,8 @@ class Board:
                     up ^= bit
                     es.append(f"{name}-{names[bit.bit_length() - 1]}")
             if None in vs:  # raise for the first label that cannot be keyed
-                for i in _bits(self.alive):
-                    key_label(self.universe.labels[i])
+                bad = self.universe.labels[next(i for i in _bits(self.alive) if names[i] is None)]
+                raise ValueError(f"vertex label {bad!r} cannot be used in a cache key")
             text = self._text = f"{','.join(vs)}|{','.join(es)}"
         return text
 
@@ -367,9 +376,10 @@ class Board:
         return g
 
 
-@dataclass(frozen=True)
-class MasterList:
+class MasterList(Record):
     """The two columns of a gcds move at the ordered pair (x, y)."""
+
+    __slots__ = ("column_x", "column_y")
 
     column_x: frozenset
     column_y: frozenset
@@ -521,14 +531,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> dict | None:
     return _find_isomorphism(g1, g2)
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """A graph together with the favorable vertex set A of the gcds game."""
+
+    __slots__ = ("graph", "favorable")
 
     graph: Graph
     favorable: frozenset
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if not self.favorable <= self.graph.vertices:
             stray = sorted(self.favorable - self.graph.vertices, key=label_key)
             raise ValueError(f"favorable vertices {stray} are not in the graph")

@@ -15,7 +15,6 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations, permutations as all_words
 
 from .cyclegraph import (
@@ -77,15 +76,24 @@ from .permutations import (
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all"]
 
 
-@dataclass
 class SuiteResult:
     """Outcome of one verification suite."""
+
+    __slots__ = ("name", "cases", "failures", "notes", "elapsed")
 
     name: str
     cases: int
     failures: list[str]
     notes: list[str]
     elapsed: float
+
+    def __init__(self, name: str, cases: int, failures: list[str], notes: list[str],
+                 elapsed: float) -> None:
+        self.name = name
+        self.cases = cases
+        self.failures = failures
+        self.notes = notes
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:

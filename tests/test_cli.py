@@ -332,10 +332,30 @@ def test_play_graph_human_move_is_reprompted_until_legal(capsys, monkeypatch, tm
                             + "engine plays 3,4\n")
 
 
-def test_cli_import_does_not_load_the_process_pool():
+def _fresh_import_probe(probe: str) -> str:
+    """Run ``probe`` in a new interpreter after ``import cdsgame.cli``."""
     src = os.path.dirname(os.path.dirname(cdsgame.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, cdsgame.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", "import sys, cdsgame.cli\n" + probe], env=env,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    assert _fresh_import_probe("print('concurrent.futures.process' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Each CLI call pays for its imports; these two cost about 20 ms together.
+    probe = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_import_probe(probe) == "[]"
+
+
+def test_cli_import_loads_every_module_the_cli_tracer_targets():
+    # perfbench/cli_traced.py installs its tracer right after importing the
+    # CLI, and the tracer looks each traced module up in sys.modules.
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    probe = (f"sys.path.insert(0, {perfbench!r}); from tracer import TARGETS\n"
+             "print(sorted({m for m, _, _ in TARGETS} - {n[8:] for n in sys.modules"
+             " if n.startswith('cdsgame.')}))")
+    assert _fresh_import_probe(probe) == "[]"

@@ -548,11 +548,12 @@ def test_memo_shared_across_label_sets_gives_fresh_reports():
 
 
 def test_memo_tells_apart_boards_of_one_universe_with_one_text():
-    # 1 and "1" both render as 1: the move (1, 2) leaves the path "1"-"2"-x
-    # and the move ("1", "2") leaves 1-2-x, two boards with one key text.
+    # 1 and "1" have one str: the move (1, 2) leaves the path "1"-"2"-x and
+    # the move ("1", "2") leaves 1-2-x, two boards whose str texts agree.
+    # Such a universe keys its labels by repr, so the key texts differ too.
     graph = Graph([1, 2, "1", "2", "x"], [(1, 2), (2, "x"), ("1", "2"), ("2", "x")])
-    assert (apply_gcds2(graph, (1, 2)).key_text()
-            == apply_gcds2(graph, ("1", "2")).key_text() == "1,2,x|1-2,2-x")
+    assert apply_gcds2(graph, (1, 2)).key_text() == "'1','2','x'|'1'-'2','2'-'x'"
+    assert apply_gcds2(graph, ("1", "2")).key_text() == "1,2,'x'|1-2,2-'x'"
     vertices = graph.vertex_list()
     for shared in (False, True):
         clear_memos()
@@ -563,6 +564,24 @@ def test_memo_tells_apart_boards_of_one_universe_with_one_text():
                     clear_memos()
                 solved = solve_gcds(GcdsState(Position(graph, favorable), mover)).winner
                 assert solved == _minimax_gcds(graph, favorable, mover), (favorable, mover)
+    clear_memos()
+
+
+def test_labels_with_one_str_share_no_cache_key():
+    # 1 and "1" have one str; keyed by str, favorable {1, 2} and {"1", "2"}
+    # both gave G|1,2,1,2|1-2|1,2|1, and the second solve read the first's
+    # winner from the shared cache.
+    graph = Graph([1, 2, "1", "2"], [(1, 2)])
+    keys = {graph_state_key(graph, frozenset(fav), ONE) for fav in ({1, 2}, {"1", "2"})}
+    assert keys == {"G|1,2,'1','2'|1-2|1,2|1", "G|1,2,'1','2'|1-2|'1','2'|1"}
+    cache = SolveCache()
+    for favorable in (frozenset({1, 2}), frozenset({"1", "2"})):
+        for mover in (ONE, TWO):
+            state = GcdsState(Position(graph, favorable), mover)
+            clear_memos()
+            fresh = solve_gcds(state)
+            clear_memos()
+            assert solve_gcds(state, cache=cache) == fresh
     clear_memos()
 
 
@@ -625,10 +644,12 @@ def test_cached_key_text_equals_a_fresh_rendering(vertices, data):
                 graph_state_key(graph, fs, ONE)
             assert str(err.value) == f"vertex label {bad[0]!r} cannot be used in a cache key"
         return
+    # Where two labels have one str (1 and "1"), every label is keyed by repr.
+    name = repr if len({str(v) for v in vertices}) < len(vertices) else str
     fresh = "G|{}|{}|{}|2".format(
-        ",".join(str(v) for v in graph.vertex_list()),
-        ",".join(f"{a}-{b}" for a, b in graph.edge_list()),
-        ",".join(str(v) for v in sorted(favorable, key=lambda v: (isinstance(v, str), v))))
+        ",".join(name(v) for v in graph.vertex_list()),
+        ",".join(f"{name(a)}-{name(b)}" for a, b in graph.edge_list()),
+        ",".join(name(v) for v in sorted(favorable, key=lambda v: (isinstance(v, str), v))))
     assert graph_state_key(graph, favorable, TWO) == fresh
     assert graph_state_key(graph, favorable, TWO) == fresh  # from the kept text
     assert graph_state_key(Graph(vertices, edges), favorable, TWO) == fresh
