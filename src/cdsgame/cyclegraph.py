@@ -107,7 +107,7 @@ def build_cycle_graph(perm: Permutation) -> CycleGraph:
     succ[n + 1] = e[-1]
     succ[e[0]] = 0
     assert set(succ) == set(range(1, n + 2))
-    return CycleGraph(n=n, black_successor=succ)
+    return CycleGraph(n, succ)
 
 
 def alternating_cycles(cg: CycleGraph) -> AltCycleDecomposition:

@@ -162,4 +162,4 @@ def bound_prediction(pile_size: int, a_size: int) -> BoundPrediction:
         verdict = "TWO"
     else:
         verdict = UNDETERMINED
-    return BoundPrediction(verdict=verdict, rules=tuple(rules))
+    return BoundPrediction(verdict, tuple(rules))

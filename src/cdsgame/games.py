@@ -521,12 +521,7 @@ def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
         pv.append(entry[0][i])
         state, mover = after, opponent(mover)
     assert final == winner, "principal variation ends at the reported winner"
-    return SolveReport(
-        winner=winner,
-        principal_variation=tuple(pv),
-        nodes_expanded=stats.expanded,
-        cache_hits=stats.hits,
-    )
+    return SolveReport(winner, tuple(pv), stats.expanded, stats.hits)
 
 
 # ---------------------------------------------------------------------------
