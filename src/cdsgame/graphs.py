@@ -321,9 +321,9 @@ class Board:
 
     def memo_key(self):
         """The text, which identifies the labelled graph among boards of plain
-        universes.  Otherwise one text can name different boards of one
-        universe (1 and "1" both render as 1), so the key is the bits and
-        the universe."""
+        universes.  Otherwise one text can stand for different labels in two
+        universes (1 in one, "1" in the other), and the memo keeps moves as
+        labels, so the key is the bits and the universe."""
         if self.universe.plain:
             return self.text()
         return self.alive, self.rows, self.universe
