@@ -18,7 +18,6 @@ import time
 from .cyclegraph import (
     SizeBoundError,
     achievable_fixed_points,
-    is_sortable,
     strategic_pile,
 )
 from .families import (
@@ -173,7 +172,7 @@ def _cmd_perm_pile(args):
     perm = parse_permutation(args.perm)
     pile = strategic_pile(perm)
     return {"perm": perm_to_doc(perm), "pile": list(pile),
-            "sortable": is_sortable(perm)}, 0
+            "sortable": len(pile) == 0}, 0
 
 
 def _cmd_perm_overlap(args):
@@ -184,7 +183,7 @@ def _cmd_perm_overlap(args):
 def _cmd_perm_sortable(args):
     perm = parse_permutation(args.perm)
     pile = strategic_pile(perm)
-    return {"perm": perm_to_doc(perm), "sortable": is_sortable(perm),
+    return {"perm": perm_to_doc(perm), "sortable": len(pile) == 0,
             "pile_size": len(pile)}, 0
 
 

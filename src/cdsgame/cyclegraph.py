@@ -14,19 +14,19 @@ between n -> n+1 and 0 -> 1 on their shared alternating cycle, recorded as
 pointer codes in walk order; it is empty when those two dotted edges lie on
 different cycles.  The pile is empty exactly when the permutation is
 cds-sortable, and the pile codes are exactly the fixed-point codes reachable
-by playing cds to the end (both facts are checked against brute force in the
-test-suite).
+by playing cds to the end.  :func:`achievable_fixed_points` finds those
+codes on the cds solver's successor memo (games.py); the ``pile-lemma`` suite
+checks both facts with it, and the plain brute-force oracles are in the tests.
 """
 
 from __future__ import annotations
 
+from .games import CdsGame, successor
 from .permutations import (
     Permutation,
-    apply_cds,
+    SizeBoundError,
     fixed_point_code,
-    identity,
     is_fixed_point,
-    legal_moves,
 )
 from .record import Record
 
@@ -39,13 +39,8 @@ __all__ = [
     "alternating_cycles",
     "strategic_pile",
     "is_sortable",
-    "sortable_bruteforce",
     "achievable_fixed_points",
 ]
-
-
-class SizeBoundError(Exception):
-    """Raised when an exhaustive computation is asked to exceed its size bound."""
 
 
 class CycleGraph(Record):
@@ -162,39 +157,15 @@ def is_sortable(perm: Permutation) -> bool:
     return len(strategic_pile(perm)) == 0
 
 
-def sortable_bruteforce(perm: Permutation, max_n: int = 7) -> bool:
-    """Exhaustive check: can some sequence of cds moves reach the identity?
-
-    Independent of the pile characterisation; used as its oracle.
-    """
-    if perm.n > max_n:
-        raise SizeBoundError(f"brute force limited to n <= {max_n}, got n = {perm.n}")
-    target = identity(perm.n)
-    memo: dict[Permutation, bool] = {}
-
-    def reachable(state: Permutation) -> bool:
-        if state == target:
-            return True
-        known = memo.get(state)
-        if known is not None:
-            return known
-        memo[state] = False  # cds strictly shrinks options; no cycles, but be safe
-        result = any(
-            reachable(apply_cds(state, p, q)) for p, q in sorted(legal_moves(state))
-        )
-        memo[state] = result
-        return result
-
-    return reachable(perm)
-
-
 def achievable_fixed_points(
     perm: Permutation, max_n: int = 7
 ) -> frozenset[int | None]:
     """All fixed-point codes reachable by playing cds to the end.
 
     The identity is reported as ``None``; the rotation [k+1..n, 1..k] as k.
-    Exhaustive search with memoisation, refused above ``max_n``.
+    Exhaustive search, refused above ``max_n``: each state's moves and
+    children come from the cds successor memo and its codes are kept for the
+    rest of the call.
     """
     if perm.n > max_n:
         raise SizeBoundError(f"brute force limited to n <= {max_n}, got n = {perm.n}")
@@ -207,9 +178,10 @@ def achievable_fixed_points(
         if is_fixed_point(state):
             result: frozenset[int | None] = frozenset({fixed_point_code(state)})
         else:
+            entry = CdsGame.moves(state)
             acc: set[int | None] = set()
-            for p, q in sorted(legal_moves(state)):
-                acc |= walk(apply_cds(state, p, q))
+            for i in range(len(entry[0])):
+                acc |= walk(successor(CdsGame, state, entry, i))
             result = frozenset(acc)
         memo[state] = result
         return result

@@ -29,11 +29,13 @@ boards are keyed by their bits and universe); its moves are label pairs, which `
 universe.  The public solvers take labelled graphs and return label pairs.
 The search builds only the children it
 visits, in move order, and stops at the first winning one.  Each of the two
-successor memos is shared by every solve in the process.  It charges each
-state its full fan-out and is emptied when a new state would take the charge
-past MEMO_CHILDREN (2**16), so it never holds more children than that or one
-state's fan-out; :func:`clear_memos` empties both memos and
-:func:`memo_stats` reports on them.  The search
+successor memos is shared by every solve in the process, and the cds memo
+also by :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the
+cds move graph through ``CdsGame.moves`` and :func:`successor`.  A memo
+charges each state its full fan-out and is emptied when a new state would
+take the charge past MEMO_CHILDREN (2**16), so it never holds more children
+than that or one state's fan-out; :func:`clear_memos` empties both memos
+and :func:`memo_stats` reports on them.  The search
 is negamax with memoisation over the exact labelled state; no symmetry
 reduction is applied, so cache keys are reproducible strings and can be
 persisted to disk and reloaded across runs.  The principal variation always
@@ -47,10 +49,10 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .cyclegraph import SizeBoundError
 from .graphs import Board, Graph, Position
 from .permutations import (
     Permutation,
+    SizeBoundError,
     apply_cds,
     fixed_point_code,
     is_fixed_point,
@@ -219,7 +221,8 @@ _CACHE_VERSION = 1
 
 
 def cache_save(cache: SolveCache, path) -> None:
-    """Write header plus one ``key<TAB>winner`` line per entry, keys sorted.
+    """Write header plus one ``key<TAB>winner`` line per entry, keys sorted,
+    as UTF-8; lines end in a bare newline, the one line break no key holds.
 
     The lines go to a temporary file beside ``path``, which then replaces
     ``path`` in one step, so a failed save leaves the earlier file whole.
@@ -231,7 +234,7 @@ def cache_save(cache: SolveCache, path) -> None:
         lines.append(f"{key}\t{winner}\n")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
             fh.flush()
             os.fsync(fh.fileno())
@@ -243,8 +246,13 @@ def cache_save(cache: SolveCache, path) -> None:
 
 
 def cache_load(path) -> SolveCache:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            raw = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"cache file is not UTF-8: {exc}") from None
+    if raw[-1] == "":
+        raw.pop()  # the last line's end
     if not raw:
         raise CacheFormatError("empty cache file (missing header)")
     header = raw[0].split()

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Collection, Hashable, Iterable, Mapping
 
-from .cyclegraph import SizeBoundError
+from .permutations import SizeBoundError
 from .record import Record
 
 __all__ = [

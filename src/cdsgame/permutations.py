@@ -35,6 +35,7 @@ from typing import Iterable, NamedTuple
 __all__ = [
     "NotApplicableError",
     "ParseError",
+    "SizeBoundError",
     "Occurrence",
     "Permutation",
     "TAIL_LEFT",
@@ -56,6 +57,10 @@ class NotApplicableError(Exception):
 
 class ParseError(ValueError):
     """Raised when permutation text cannot be parsed."""
+
+
+class SizeBoundError(Exception):
+    """Raised when an exhaustive computation is asked to exceed its size bound."""
 
 
 # Sides of a pointer occurrence.  Tail-left sorts before head-right when both

@@ -22,7 +22,6 @@ from .cyclegraph import (
     alternating_cycles,
     build_cycle_graph,
     is_sortable,
-    sortable_bruteforce,
     strategic_pile,
 )
 from .families import (
@@ -368,45 +367,20 @@ def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
 # ---------------------------------------------------------------------------
 
 def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
+    # One pass over n <= lim + 1.  Each legal move's after-pile serves the
+    # per-move bound and, at n <= lim, removability: apply_cds is symmetric
+    # in p and q, so "some legal move at c drops c" reads off the same piles.
     lim = 6 if max_n is None else max_n
-    for n in range(1, lim + 1):
-        for word in all_words(range(1, n + 1)):
-            perm = Permutation(word)
-            pile = strategic_pile(perm)
-            rec.check(
-                is_sortable(perm) == sortable_bruteforce(perm, max_n=lim),
-                lambda w=word: f"pile-empty and brute-force sortability disagree at {list(w)}",
-            )
-            achieved = achievable_fixed_points(perm, max_n=lim)
-            wanted = frozenset({None}) if len(pile) == 0 else pile.as_set()
-            rec.check(
-                achieved == wanted,
-                lambda w=word, a=achieved, b=wanted:
-                f"achievable fixed points of {list(w)}: {sorted(map(str, a))}, pile says {sorted(map(str, b))}",
-            )
-            if len(pile) >= 2:
-                for c in sorted(pile.as_set()):
-                    removable = any(
-                        q != c
-                        and interlocks(perm, c, q)
-                        and c not in strategic_pile(apply_cds(perm, c, q))
-                        for q in range(1, n)
-                    )
-                    rec.check(
-                        removable,
-                        lambda w=word, cc=c: f"pile code {cc} of {list(w)} is not removable by any single move",
-                    )
-    rec.note(f"sortability, achievability, and removability exhaustive at n <= {lim}")
-
-    lim4 = lim + 1
     worst = 0
     added_events = 0
-    for n in range(1, lim4 + 1):
+    for n in range(1, lim + 2):
         for word in all_words(range(1, n + 1)):
             perm = Permutation(word)
             before = strategic_pile(perm).as_set()
+            dropped: set[int] = set()
             for p, q in sorted(legal_moves(perm)):
                 after = strategic_pile(apply_cds(perm, p, q)).as_set()
+                dropped.update(c for c in (p, q) if c not in after)
                 removed = len(before - after)
                 worst = max(worst, removed)
                 if after - before:
@@ -416,7 +390,27 @@ def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
                     lambda w=word, pp=p, qq=q, r=removed:
                     f"move ({pp},{qq}) on {list(w)} removed {r} pile codes",
                 )
-    rec.note(f"per-move removal bound exhaustive at n <= {lim4}; worst removal {worst}")
+            if n > lim:
+                continue
+            achieved = achievable_fixed_points(perm, max_n=lim)
+            rec.check(
+                (None in achieved) == (not before),
+                lambda w=word: f"pile-empty and brute-force sortability disagree at {list(w)}",
+            )
+            wanted = before or frozenset({None})
+            rec.check(
+                achieved == wanted,
+                lambda w=word, a=achieved, b=wanted:
+                f"achievable fixed points of {list(w)}: {sorted(map(str, a))}, pile says {sorted(map(str, b))}",
+            )
+            if len(before) >= 2:
+                for c in sorted(before):
+                    rec.check(
+                        c in dropped,
+                        lambda w=word, cc=c: f"pile code {cc} of {list(w)} is not removable by any single move",
+                    )
+    rec.note(f"sortability, achievability, and removability exhaustive at n <= {lim}")
+    rec.note(f"per-move removal bound exhaustive at n <= {lim + 1}; worst removal {worst}")
     rec.note(f"moves that added pile codes: {added_events}")
 
 

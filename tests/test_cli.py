@@ -12,7 +12,8 @@ import pytest
 import cdsgame
 from cdsgame import cli
 from cdsgame.cli import main
-from cdsgame.games import SolveCache, cache_load, cache_save
+from cdsgame.games import CacheFormatError, SolveCache, cache_load, cache_save
+from cdsgame.graphs import Graph
 from cdsgame.jsonio import dump_document, graph_to_doc
 from cdsgame.families import gen_chain, tight_instance
 
@@ -262,6 +263,29 @@ def test_cache_export_import(capsys, tmp_path):
     assert doc["added"] == doc["entries"]
 
 
+@pytest.mark.parametrize("label", ["\u00e9", "b\rc", "x\u2028y"])
+def test_cache_keeps_every_label_the_solver_accepts(capsys, tmp_path, label):
+    # Non-ASCII labels once broke the save; line breaks other than "\n"
+    # once broke the next load.
+    graph = write_graph(tmp_path, Graph(["a", label], [("a", label)]))
+    cache = str(tmp_path / "c.tsv")
+    argv = ["solve", "gcds", "--graph", graph, "--favorable", "a", "--cache", cache]
+    code, first = run_cli(capsys, *argv)
+    assert code == 0
+    code, second = run_cli(capsys, *argv)
+    assert code == 0 and second["winner"] == first["winner"]
+    code, doc = run_cli(capsys, "cache", "export", "--cache", cache)
+    assert code == 0 and doc["entries"] == len(cache_load(cache)) > 0
+    assert any(label in key for key, _ in doc["records"])
+
+
+def test_undecodable_cache_file_is_a_format_error(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"GCDSCACHE 1\nP|\xff|1|1\tONE\n")
+    with pytest.raises(CacheFormatError):
+        cache_load(str(path))
+
+
 def test_play_cds_game(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1,3\n"))
     code = main(["play", "--perm", "3 1 4 2 5", "--favorable", "2", "--human", "ONE"])
@@ -352,10 +376,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_import_loads_every_module_the_cli_tracer_targets():
     # perfbench/cli_traced.py installs its tracer right after importing the
-    # CLI, and the tracer looks each traced module up in sys.modules.
+    # CLI, and the tracer looks each traced module up in sys.modules, then
+    # each attribute in it ("Class.method" in the class's own namespace).
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench")
     probe = (f"sys.path.insert(0, {perfbench!r}); from tracer import TARGETS\n"
-             "print(sorted({m for m, _, _ in TARGETS} - {n[8:] for n in sys.modules"
-             " if n.startswith('cdsgame.')}))")
+             "def missing(module, attr):\n"
+             "    owner = sys.modules.get('cdsgame.' + module)\n"
+             "    cls, _, name = attr.rpartition('.')\n"
+             "    if cls:\n"
+             "        owner = getattr(owner, cls, None)\n"
+             "        return owner is None or name not in vars(owner)\n"
+             "    return not hasattr(owner, name)\n"
+             "print(sorted(f'{m}.{a}' for m, a, _ in TARGETS if missing(m, a)))")
     assert _fresh_import_probe(probe) == "[]"

@@ -4,19 +4,75 @@ from itertools import permutations as all_words
 
 import pytest
 
+from cdsgame import games
 from cdsgame.cyclegraph import (
     SizeBoundError,
     achievable_fixed_points,
     alternating_cycles,
     build_cycle_graph,
     is_sortable,
-    sortable_bruteforce,
     strategic_pile,
 )
-from cdsgame.permutations import Permutation, identity
+from cdsgame.games import clear_memos
+from cdsgame.permutations import (
+    Permutation,
+    apply_cds,
+    fixed_point_code,
+    identity,
+    is_fixed_point,
+    legal_moves,
+)
 
 
 BETA = Permutation([3, 6, 5, 2, 4, 8, 1, 7])
+
+
+def _reference_sortable(perm: Permutation) -> bool:
+    """Can some sequence of cds moves reach the identity?  A plain search,
+    independent of the pile and of the solver's successor memo."""
+    target = identity(perm.n)
+    memo: dict[Permutation, bool] = {}
+
+    def reachable(state: Permutation) -> bool:
+        if state == target:
+            return True
+        known = memo.get(state)
+        if known is None:
+            known = memo[state] = any(
+                reachable(apply_cds(state, p, q)) for p, q in sorted(legal_moves(state))
+            )
+        return known
+
+    return reachable(perm)
+
+
+def _reference_achievable_fixed_points(perm: Permutation) -> frozenset:
+    """The fixed-point codes reachable from ``perm``, walked with a fresh
+    dict per call and no successor memo."""
+    memo: dict[Permutation, frozenset] = {}
+
+    def walk(state: Permutation) -> frozenset:
+        known = memo.get(state)
+        if known is None:
+            if is_fixed_point(state):
+                known = frozenset({fixed_point_code(state)})
+            else:
+                known = frozenset().union(
+                    *(walk(apply_cds(state, p, q)) for p, q in sorted(legal_moves(state)))
+                )
+            memo[state] = known
+        return known
+
+    return walk(perm)
+
+
+def _check_walks_against_the_references(top: int) -> None:
+    for n in range(1, top + 1):
+        for word in all_words(range(1, n + 1)):
+            perm = Permutation(word)
+            achieved = achievable_fixed_points(perm)
+            assert achieved == _reference_achievable_fixed_points(perm), word
+            assert (None in achieved) == _reference_sortable(perm), word
 
 
 def test_cycle_graph_of_the_worked_example():
@@ -79,7 +135,24 @@ def test_pile_empty_iff_bruteforce_sortable():
     for n in range(1, 6):
         for word in all_words(range(1, n + 1)):
             perm = Permutation(word)
-            assert is_sortable(perm) == sortable_bruteforce(perm)
+            assert is_sortable(perm) == _reference_sortable(perm)
+
+
+def test_achievable_fixed_points_match_the_references(monkeypatch):
+    _check_walks_against_the_references(6)  # through one shared memo
+    clear_memos()
+    _check_walks_against_the_references(6)  # from an empty memo
+    monkeypatch.setattr(games, "MEMO_CHILDREN", 8)
+    clear_memos()
+    _check_walks_against_the_references(6)  # the memo empties mid-walk
+    _, misses, _, held = games._cds_successors.cache_info()
+    assert misses > held
+    clear_memos()
+
+
+@pytest.mark.slow
+def test_achievable_fixed_points_match_the_references_at_n7():
+    _check_walks_against_the_references(7)
 
 
 def test_achievable_fixed_points_examples():
@@ -100,7 +173,5 @@ def test_achievable_codes_match_the_pile():
 def test_search_size_bounds():
     big = identity(9)
     with pytest.raises(SizeBoundError):
-        sortable_bruteforce(big)
-    with pytest.raises(SizeBoundError):
         achievable_fixed_points(big)
-    assert sortable_bruteforce(big, max_n=9)
+    assert achievable_fixed_points(big, max_n=9) == frozenset({None})
