@@ -68,6 +68,7 @@ from .permutations import (
     ParseError,
     apply_cds,
     legal_moves,
+    parse_decimal,
     parse_permutation,
 )
 from .suites import SUITE_NAMES, run_suite
@@ -91,7 +92,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ParseError(f"expected two comma-separated codes, got {text!r}")
     try:
-        return (int(parts[0]), int(parts[1]))
+        return (parse_decimal(parts[0]), parse_decimal(parts[1]))
     except ValueError:
         raise ParseError(f"pointer codes must be integers, got {text!r}") from None
 
@@ -106,7 +107,7 @@ def _cds_state(args, mover: str) -> CdsState:
     codes = set()
     for part in _split_csv(args.favorable):
         try:
-            codes.add(int(part))
+            codes.add(parse_decimal(part))
         except ValueError:
             raise ParseError(f"favorable code {part!r} is not an integer") from None
     return CdsState(perm, frozenset(codes), mover)

@@ -95,14 +95,17 @@ class StrategicPile(Record):
         return frozenset(self.codes)
 
 
-def build_cycle_graph(perm: Permutation) -> CycleGraph:
-    e = perm.entries
-    n = len(e)
-    succ = {e[i]: e[i - 1] for i in range(1, n)}
-    succ[n + 1] = e[-1]
+def _black_successors(e: tuple[int, ...]) -> dict[int, int]:
+    """The black edges of the word ``e`` as a successor map on 1..n+1."""
+    succ = dict(zip(e[1:], e))
+    succ[len(e) + 1] = e[-1]
     succ[e[0]] = 0
-    assert set(succ) == set(range(1, n + 2))
-    return CycleGraph(n, succ)
+    assert set(succ) == set(range(1, len(e) + 2))
+    return succ
+
+
+def build_cycle_graph(perm: Permutation) -> CycleGraph:
+    return CycleGraph(perm.n, _black_successors(perm.entries))
 
 
 def alternating_cycles(cg: CycleGraph) -> AltCycleDecomposition:
@@ -139,7 +142,7 @@ def strategic_pile(perm: Permutation) -> StrategicPile:
     edges.  If the walk returns to n -> n+1 first, the distinguished edges
     lie on different cycles and the pile is empty.
     """
-    black = build_cycle_graph(perm).black_successor
+    black = _black_successors(perm.entries)
     n = perm.n
     codes: list[int] = []
     j = n

@@ -198,18 +198,18 @@ class SolveCache:
         return self._table.items()
 
     def merge(self, other: "SolveCache") -> int:
-        """Adopt entries from ``other``; returns how many keys were new."""
-        fresh = 0
+        """Adopt every entry of ``other``, or none of them when a key has
+        another winner here (CacheFormatError); returns how many keys were new."""
+        table = self._table
         for key, winner in other.items():
-            if key not in self._table:
-                fresh += 1
-            elif self._table[key] != winner:
+            if table.get(key, winner) != winner:
                 raise CacheFormatError(
                     f"conflicting winners for key {key!r}: "
-                    f"{self._table[key]} vs {winner}"
+                    f"{table[key]} vs {winner}"
                 )
-            self._table[key] = winner
-        return fresh
+        before = len(table)
+        table.update(other.items())
+        return len(table) - before
 
 
 class CacheFormatError(ValueError):

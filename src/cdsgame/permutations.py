@@ -20,7 +20,8 @@ is the (position, side) order of :func:`pointer_occurrences`.  Two pointers
 interlock exactly when their intervals cross, so the cds moves are the
 edges of a circle graph (Gavril 1973), the overlap graph of the word.
 :func:`legal_moves` lists them in one left-to-right sweep over the slots,
-and :func:`apply_cds` classifies a move from its four slots.
+and :func:`apply_cds` is one block swap: the four slots of p and q cut the
+word into five blocks, and the second and fourth trade places.
 :func:`interlocks` and :func:`pointer_occurrences` stay as the pairwise
 reference.
 
@@ -40,6 +41,7 @@ __all__ = [
     "Permutation",
     "TAIL_LEFT",
     "HEAD_RIGHT",
+    "parse_decimal",
     "parse_permutation",
     "pointer_occurrences",
     "interlocks",
@@ -152,6 +154,20 @@ def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
 
 
+def parse_decimal(text: str) -> int:
+    """An integer written in ASCII: an optional sign and decimal digits,
+    with whitespace around them.
+
+    Raises ValueError for anything else, including the other scripts'
+    digits and the underscores that ``int`` would also read.
+    """
+    body = text.strip(" \t\n\v\f\r") if text.isascii() else ""
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits.isdigit():
+        raise ValueError(f"{text!r} is not an ASCII decimal integer")
+    return int(body)
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse whitespace-separated entries such as ``"3 6 5 2 4 8 1 7"``."""
     tokens = text.split()
@@ -160,7 +176,7 @@ def parse_permutation(text: str) -> Permutation:
     values = []
     for tok in tokens:
         try:
-            values.append(int(tok))
+            values.append(parse_decimal(tok))
         except ValueError:
             raise ParseError(f"token {tok!r} is not an integer") from None
     n = len(values)
@@ -242,30 +258,16 @@ def legal_moves(perm: Permutation) -> set[tuple[int, int]]:
     return moves
 
 
-# The four interleaving cases, keyed by the side pattern of the four
-# occurrences in order (the first-opening pointer's sides first and third,
-# the other's second and fourth).  Every interlocking pair matches exactly
-# one pattern since each pointer contributes one head and one tail.
-_CASE_SIDES = {
-    (TAIL_LEFT, HEAD_RIGHT, HEAD_RIGHT, TAIL_LEFT): 1,
-    (HEAD_RIGHT, HEAD_RIGHT, TAIL_LEFT, TAIL_LEFT): 2,
-    (HEAD_RIGHT, TAIL_LEFT, TAIL_LEFT, HEAD_RIGHT): 3,
-    (TAIL_LEFT, TAIL_LEFT, HEAD_RIGHT, HEAD_RIGHT): 4,
-}
-
-
 def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
     """Apply the cds move indexed by the interlocking pair {p, q}.
 
-    The four occurrence positions i1 < i2 < i3 < i4 frame two swapped blocks;
-    which entries travel with which block depends on the side pattern:
+    The four occurrences of p and q, at slots s1 < s2 < s3 < s4, cut the
+    word: slot s is the cut just before the entry at 0-based index
+    ``(s - 1) >> 1``.  The move swaps the block between the first two cuts
+    with the block between the last two, the block between them staying in
+    the middle:
 
-    * case 1 (tail, head, head, tail): blocks [i1..i2] and (i2..i3] swap,
-      carried around position i4's entry staying put at the right edge;
-    * case 2 (head, head, tail, tail): blocks (i1..i2] and [i3..i4) swap;
-    * case 3 (head, tail, tail, head): blocks (i1..i2) and [i3..i4] swap
-      around the middle segment [i2..i3);
-    * case 4 (tail, tail, head, head): blocks [i1..i2) and (i3..i4] swap.
+        e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:]
 
     After the move each of the two pointers has its values adjacent and in
     order, so neither pointer interlocks with anything again.
@@ -287,26 +289,8 @@ def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
         raise NotApplicableError(
             f"pointers {p} and {q} do not interlock in {list(e)}"
         )
-    slots = (s1, s2, s3, s4)
-    sides = tuple(s & 1 for s in slots)
-    case = _CASE_SIDES.get(sides)
-    if case is None:
-        raise AssertionError(f"occurrence pattern {sides} matched no case")
-    i1, i2, i3, i4 = (s >> 1 for s in slots)
-
-    def seg(a: int, b: int) -> tuple[int, ...]:
-        # entries at 1-based positions a..b inclusive; empty when a > b
-        return e[a - 1 : b]
-
-    if case == 1:
-        out = seg(1, i1 - 1) + seg(i3 + 1, i4 - 1) + seg(i2 + 1, i3) + seg(i1, i2) + seg(i4, n)
-    elif case == 2:
-        out = seg(1, i1) + seg(i3, i4 - 1) + seg(i2 + 1, i3 - 1) + seg(i1 + 1, i2) + seg(i4, n)
-    elif case == 3:
-        out = seg(1, i1) + seg(i3, i4) + seg(i2, i3 - 1) + seg(i1 + 1, i2 - 1) + seg(i4 + 1, n)
-    else:
-        out = seg(1, i1 - 1) + seg(i3 + 1, i4) + seg(i2, i3) + seg(i1, i2 - 1) + seg(i4 + 1, n)
-    return Permutation(out)
+    c1, c2, c3, c4 = (s1 - 1) >> 1, (s2 - 1) >> 1, (s3 - 1) >> 1, (s4 - 1) >> 1
+    return Permutation(e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:])
 
 
 def is_fixed_point(perm: Permutation) -> bool:

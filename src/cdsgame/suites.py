@@ -607,7 +607,6 @@ def _suite_tight(rec, *, seed, max_n, max_m, samples, threads):
 # ---------------------------------------------------------------------------
 
 def _suite_formats(rec, *, seed, max_n, max_m, samples, threads):
-    import os
     import tempfile
 
     rng = random.Random(seed)

@@ -152,6 +152,35 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["perm", "pile", "--perm", "２ １ ３"], "２"),
+    (["perm", "pile", "--perm", "1 2 3 4 5 6 7 8 9 1_0"], "1_0"),
+    (["perm", "apply", "--perm", "3 6 5 2 4 8 1 7", "--pair", "３,٦"], "３"),
+    (["perm", "apply", "--perm", "3 6 5 2 4 8 1 7", "--pair", "3,0_6"], "0_6"),
+    (["solve", "cds", "--perm", "2 4 1 3", "--favorable", "١"], "١"),
+    (["solve", "cds", "--perm", "2 4 1 3", "--favorable", "1,0_2"], "0_2"),
+])
+def test_integers_are_read_as_ascii_decimals(capsys, argv, token):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "ParseError"
+    assert token in doc["error"]["message"]
+
+
+def test_spaces_around_a_comma_are_accepted(capsys):
+    code, doc = run_cli(capsys, "perm", "apply", "--perm", "3 6 5 2 4 8 1 7",
+                        "--pair", "3, 6")
+    assert code == 0 and doc["result"] == [3, 4, 8, 1, 5, 2, 6, 7]
+    docs = []
+    for favorable in ("1 , 2", "1,2"):
+        code, doc = run_cli(capsys, "solve", "cds", "--perm", "2 4 1 3",
+                            "--favorable", favorable)
+        assert code == 0
+        del doc["timing"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_exit_code_size_bound(capsys):
     word = " ".join(str(i) for i in range(1, 13))
     code, doc = run_cli(capsys, "solve", "cds", "--perm", word, "--favorable", "")

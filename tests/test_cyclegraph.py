@@ -66,6 +66,20 @@ def _reference_achievable_fixed_points(perm: Permutation) -> frozenset:
     return walk(perm)
 
 
+def _reference_pile(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The pile in walk order, read off the cycle graph's definition: the
+    dotted edges met between n -> n+1 and 0 -> 1 on the alternating cycle
+    through both, with black edges a_i -> a_{i-1}, n+1 -> a_n and a_1 -> 0."""
+    n = len(word)
+    black = {word[i]: word[i - 1] for i in range(1, n)}
+    black[n + 1] = word[-1]
+    black[word[0]] = 0
+    tails = [n]  # the dotted edges t -> t+1 of the cycle through n -> n+1
+    while (t := black[tails[-1] + 1]) != n:
+        tails.append(t)
+    return tuple(tails[1:tails.index(0)]) if 0 in tails else ()
+
+
 def _check_walks_against_the_references(top: int) -> None:
     for n in range(1, top + 1):
         for word in all_words(range(1, n + 1)):
@@ -129,6 +143,12 @@ def test_identity_and_rotations():
     rot = Permutation([3, 4, 5, 1, 2])
     assert strategic_pile(rot).as_set() == {2}
     assert not is_sortable(rot)
+
+
+def test_pile_walk_order_matches_the_definition_up_to_seven():
+    for n in range(1, 8):
+        for word in all_words(range(1, n + 1)):
+            assert tuple(strategic_pile(Permutation(word))) == _reference_pile(word), word
 
 
 def test_pile_empty_iff_bruteforce_sortable():

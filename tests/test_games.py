@@ -236,6 +236,17 @@ def test_cache_merge_conflicts_are_loud():
     assert len(a) == 2
 
 
+def test_cache_merge_adopts_nothing_on_a_conflict():
+    a = SolveCache()
+    a.put("P|1 2|1|1", ONE)
+    b = SolveCache()
+    b.put("P|2 1|1|1", TWO)  # new to a, and met before the conflicting key
+    b.put("P|1 2|1|1", TWO)
+    with pytest.raises(CacheFormatError, match="conflicting winners for key 'P|1 2|1|1'"):
+        a.merge(b)
+    assert sorted(a.items()) == [("P|1 2|1|1", ONE)]
+
+
 def test_cached_solves_cross_sessions(tmp_path):
     state = GcdsState(Position(gen_chain(3), gen_favorable(3)), ONE)
     cache = SolveCache()

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsgame.permutations import (
-    _CASE_SIDES,
     HEAD_RIGHT,
     TAIL_LEFT,
     NotApplicableError,
@@ -22,6 +21,7 @@ from cdsgame.permutations import (
     interlocks,
     is_fixed_point,
     legal_moves,
+    parse_decimal,
     parse_permutation,
     pointer_occurrences,
 )
@@ -42,6 +42,27 @@ def test_parse_rejects_bad_tokens():
         parse_permutation("1 2 2")
     with pytest.raises(ParseError):
         parse_permutation("   ")
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("0123456789+- \t\n\x1c_x"), max_size=5))
+def test_parse_decimal_reads_ascii_as_int_does_without_underscores(text):
+    expected = None if "_" in text else _read(int, text)
+    assert _read(parse_decimal, text) == expected
+
+
+def test_parse_decimal_refuses_other_digits():
+    for text in ("２", "٢", "1\u00a0", "\u00a02"):
+        assert _read(int, text) is not None
+        with pytest.raises(ValueError, match="not an ASCII decimal integer"):
+            parse_decimal(text)
 
 
 def test_constructor_validates():
@@ -179,6 +200,18 @@ def test_rotation_forms_are_fixed_points():
 # The slot-interval fast path against the pairwise reference.  legal_moves is
 # checked against interlocks; apply_cds against the case classification it
 # replaced, which merged the four pointer occurrences by sorting.
+
+# The four interleaving cases, keyed by the side pattern of the four
+# occurrences in order (the first-opening pointer's sides first and third,
+# the other's second and fourth).  Every interlocking pair matches exactly
+# one pattern since each pointer contributes one head and one tail.
+_CASE_SIDES = {
+    (TAIL_LEFT, HEAD_RIGHT, HEAD_RIGHT, TAIL_LEFT): 1,
+    (HEAD_RIGHT, HEAD_RIGHT, TAIL_LEFT, TAIL_LEFT): 2,
+    (HEAD_RIGHT, TAIL_LEFT, TAIL_LEFT, HEAD_RIGHT): 3,
+    (TAIL_LEFT, TAIL_LEFT, HEAD_RIGHT, HEAD_RIGHT): 4,
+}
+
 
 def _reference_apply_cds(perm, p, q):
     occs = sorted([(o, p) for o in pointer_occurrences(perm, p)]
