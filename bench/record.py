@@ -12,8 +12,10 @@ trees should be git checkouts, so that every run's label names its commit.
 
 The output keeps, per workload, end-to-end metric and side, every value in
 seed order with its median, quartiles and spread (``perfbench/stats.py``),
-and how many seeds the change won; and every run's label: commit, seed, memo
-state, steal time, speed probe, nproc and Python.  Only the standard library
+and how many seeds the change won; each side's median speed probe and steal
+time, so that a slower host can be told from slower code; and every run's
+label: commit, seed, memo state, steal time, speed probe, nproc and Python.
+Workloads are checked against BENCHMARK.json before anything runs.  Only the standard library
 is used.
 """
 
@@ -71,6 +73,15 @@ def summary(values: list[float]) -> dict:
     return out
 
 
+def host_speed(runs: list[dict]) -> dict:
+    """The median speed probe (over every reading) and steal of runs' labels;
+    None where no run has the reading."""
+    probes = [ms for r in runs for ms in r["label"]["speed_probe_ms"] or ()]
+    steals = [r["label"]["steal_s"] for r in runs if r["label"]["steal_s"] is not None]
+    return {"speed_probe_ms": stats.median(probes) if probes else None,
+            "steal_s": stats.median(steals) if steals else None}
+
+
 def record_workload(workload: str, seeds: list[int], trees: dict, specs: dict) -> dict:
     runs = []
     for k, seed in enumerate(seeds):
@@ -99,6 +110,7 @@ def record_workload(workload: str, seeds: list[int], trees: dict, specs: dict) -
         "seeds": seeds,
         "parent_first": [k % 2 == 0 for k in range(len(seeds))],
         "failed": {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES},
+        "host": {side: host_speed(by_side[side]) for side in SIDES},
         "metrics": metrics,
         "runs": [{key: r[key] for key in ("side", "seed", "first", "label")} for r in runs],
     }
@@ -117,6 +129,11 @@ def main() -> int:
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
+    names = [w["name"] for w in bench["workloads"]]
+    for workload, _ in args.runs:
+        if workload not in names:
+            parser.error(f"unknown workload {workload!r} in --runs; "
+                         f"choose from {', '.join(names)}")
     specs = {m["name"]: m for m in bench["end_to_end"]}
     doc = {
         "tag": args.tag,

@@ -287,7 +287,7 @@ def cache_load(path) -> SolveCache:
 # Terminal evaluation.
 
 def gcds_terminal_winner(position: Position) -> str:
-    if position.graph.edges:
+    if position.graph.n_edges():
         raise ValueError("position still has edges; the gcds game is not over")
     vs = position.graph.vertices
     return ONE if vs and vs <= position.favorable else TWO

@@ -20,14 +20,16 @@ together with every master-list vertex left isolated — except that the sole
 member of a one-element master list survives.  Vertices outside the move are
 never deleted, isolated or not.
 
-Both pivots run on a :class:`Board`: the graph as an ``alive`` bit mask and
+A :class:`Graph` is stored as a :class:`Board`: an ``alive`` bit mask and
 one adjacency mask per vertex, over a shared universe that numbers the
-labels in ``label_key`` order.  As masks each class is one AND/AND-NOT of the
-rows of x and y, and each class member's row toggles against the union of
-the other two classes.  ``apply_gcds``/``apply_gcds2`` take the board a
-``Graph`` keeps, pivot it and return a ``Graph``; the gcds solver plays on
-boards throughout and renders its state keys from the bits
-(:meth:`Board.text`), which is also what :meth:`Graph.key_text` returns.
+labels in ``label_key`` order.  Its label views (vertex and edge sets,
+adjacency, the sorted lists) are read off the masks.  As masks each class of
+a pivot is one AND/AND-NOT of the rows of x and y, and each class member's
+row toggles against the union of the other two classes.
+``apply_gcds``/``apply_gcds2`` pivot a graph's board and wrap the result,
+which keeps the root's universe; the gcds solver plays on boards throughout
+and renders its state keys from the bits (:meth:`Board.text`), which is
+also what :meth:`Graph.key_text` returns.
 """
 
 from __future__ import annotations
@@ -83,46 +85,64 @@ def key_label(v: Label) -> str:
 
 
 class Graph:
-    """Immutable undirected simple graph (no loops, no multi-edges)."""
+    """Immutable undirected simple graph (no loops, no multi-edges), stored
+    as a :class:`Board`.  The label views (``vertices``, ``edges``,
+    ``adjacency()`` and the sorted lists) are read off the board's masks;
+    the two label sets are built on first use and kept."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_hash", "_board")
-
-    vertices: frozenset
-    edges: frozenset
+    __slots__ = ("_board", "_vertices", "_edges", "_hash")
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable = ()):
-        vs = frozenset(vertices)
-        es = set()
+        universe = _Universe(frozenset(vertices))
+        index = universe.index
+        rows = [0] * len(index)
         for edge in edges:
             a, b = edge
             if a == b:
                 raise ValueError(f"self-loop at {a!r}")
-            if a not in vs or b not in vs:
+            if a not in index or b not in index:
                 raise ValueError(f"edge {{{a!r}, {b!r}}} has an endpoint outside the vertex set")
-            es.add(frozenset((a, b)))
-        self._fill(vs, frozenset(es), None)
+            i, j = index[a], index[b]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        self._keep(Board((1 << len(rows)) - 1, tuple(rows), universe))
 
-    def _fill(self, vertices: frozenset, edges: frozenset, board: "Board | None") -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", None)
-        object.__setattr__(self, "_hash", None)
+    def _keep(self, board: "Board") -> None:
         object.__setattr__(self, "_board", board)
+        object.__setattr__(self, "_vertices", None)
+        object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # Rebuilt through the validating constructor; the kept adjacency,
-        # hash and board are left behind.
-        return Graph, (tuple(self.vertices), tuple(tuple(e) for e in self.edges))
+        # Rebuilt through the validating constructor, over its own labels.
+        return Graph, (tuple(self.vertex_list()), tuple(self.edge_list()))
+
+    @property
+    def vertices(self) -> frozenset:
+        vs = self._vertices
+        if vs is None:
+            vs = frozenset(self.vertex_list())
+            object.__setattr__(self, "_vertices", vs)
+        return vs
+
+    @property
+    def edges(self) -> frozenset:
+        es = self._edges
+        if es is None:
+            es = frozenset(map(frozenset, self._board.moves()))
+            object.__setattr__(self, "_edges", es)
+        return es
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
+        if not isinstance(other, Graph):
+            return False
+        a, b = self._board, other._board
+        if a.universe.labels == b.universe.labels:  # bits mean the same labels
+            return a.alive == b.alive and a.rows == b.rows
+        return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
         h = self._hash
@@ -135,78 +155,46 @@ class Graph:
         return f"Graph({self.vertex_list()}, {self.edge_list()})"
 
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return self._board.alive.bit_count()
 
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self._board.rows) // 2
 
-    def adjacency(self) -> Mapping[Label, frozenset]:
-        adj = self._adj
-        if adj is None:
-            grow: dict[Label, set] = {v: set() for v in self.vertices}
-            for edge in self.edges:
-                a, b = edge
-                grow[a].add(b)
-                grow[b].add(a)
-            adj = {v: frozenset(nb) for v, nb in grow.items()}
-            object.__setattr__(self, "_adj", adj)
-        return adj
-
-    def neighbors(self, v: Label) -> frozenset:
-        return self.adjacency()[v]
-
-    def degree(self, v: Label) -> int:
-        return len(self.adjacency()[v])
+    def adjacency(self) -> dict[Label, frozenset]:
+        """Each vertex's neighbours, in ``label_key`` order of the vertices."""
+        labels, rows = self._board.universe.labels, self._board.rows
+        return {labels[i]: frozenset([labels[j] for j in _bits(rows[i])])
+                for i in _bits(self._board.alive)}
 
     def has_edge(self, a: Label, b: Label) -> bool:
-        return frozenset((a, b)) in self.edges
-
-    def is_isolated(self, v: Label) -> bool:
-        return not self.adjacency()[v]
+        index = self._board.universe.index
+        i, j = index.get(a), index.get(b)
+        return i is not None and j is not None and bool(self._board.rows[i] >> j & 1)
 
     def isolated_vertices(self) -> frozenset:
-        return frozenset(v for v in self.vertices if not self.adjacency()[v])
+        labels, rows = self._board.universe.labels, self._board.rows
+        return frozenset([labels[i] for i in _bits(self._board.alive) if not rows[i]])
 
     def vertex_list(self) -> list:
-        return sorted(self.vertices, key=label_key)
+        labels = self._board.universe.labels
+        return [labels[i] for i in _bits(self._board.alive)]
 
     def edge_list(self) -> list[tuple]:
-        pairs = [tuple(sorted(e, key=label_key)) for e in self.edges]
-        pairs.sort(key=lambda pair: (label_key(pair[0]), label_key(pair[1])))
-        return pairs
+        return self._board.moves()
 
     def board(self) -> "Board":
-        """The graph as a :class:`Board` over a universe of its own labels,
-        built on first use and kept."""
-        board = self._board
-        if board is None:
-            universe = _Universe(self.vertices)
-            index = universe.index
-            rows = [0] * len(index)
-            for edge in self.edges:
-                a, b = edge
-                i, j = index[a], index[b]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            board = Board((1 << len(rows)) - 1, tuple(rows), universe)
-            object.__setattr__(self, "_board", board)
-        return board
+        """The board the graph is stored as."""
+        return self._board
 
     def key_text(self) -> str:
         """``vertices|edges`` as the solver's state keys write them (see
         :meth:`Board.text`); a label :func:`key_label` rejects raises every
         time."""
-        return self.board().text()
-
-    def without_vertices(self, doomed: Iterable[Label]) -> "Graph":
-        gone = frozenset(doomed)
-        keep = self.vertices - gone
-        edges = [e for e in self.edges if not (e & gone)]
-        return Graph(keep, edges)
+        return self._board.text()
 
     def relabel(self, mapping: Mapping[Label, Label]) -> "Graph":
         return Graph(
-            (mapping[v] for v in self.vertices),
+            (mapping[v] for v in self.vertex_list()),
             ((mapping[a], mapping[b]) for a, b in self.edge_list()),
         )
 
@@ -329,7 +317,8 @@ class Board:
         return self.alive, self.rows, self.universe
 
     def moves(self) -> list[tuple]:
-        """The edges as label pairs, in ``Graph.edge_list()`` order."""
+        """The edges as label pairs (a, b) with a before b, sorted by
+        ``label_key`` of a then of b: this is ``Graph.edge_list()``."""
         labels, rows = self.universe.labels, self.rows
         out = []
         m = self.alive
@@ -368,11 +357,9 @@ class Board:
         return Board(alive, tuple(rows), self.universe)
 
     def graph(self) -> Graph:
-        """The labelled graph, which keeps this board."""
-        labels = self.universe.labels
+        """The labelled graph stored as this board; no label set is built."""
         g = object.__new__(Graph)
-        g._fill(frozenset([labels[i] for i in _bits(self.alive)]),
-                frozenset(map(frozenset, self.moves())), self)
+        g._keep(self)
         return g
 
 
@@ -453,10 +440,10 @@ def apply_gcds2(g: Graph, edge) -> Graph:
 _ISO_MAX_VERTICES = 30
 
 
-def _invariants(g: Graph, tag: Mapping[Label, object] | None) -> dict[Label, tuple]:
-    adj = g.adjacency()
+def _invariants(adj: Mapping[Label, frozenset],
+                tag: Mapping[Label, object] | None) -> dict[Label, tuple]:
     out = {}
-    for v in g.vertices:
+    for v in adj:
         degs = tuple(sorted(len(adj[u]) for u in adj[v]))
         extra = tag[v] if tag is not None else None
         out[v] = (len(adj[v]), degs, extra)
@@ -475,23 +462,21 @@ def _find_isomorphism(
         raise SizeBoundError(
             f"isomorphism search limited to {_ISO_MAX_VERTICES} vertices"
         )
-    inv1 = _invariants(g1, tag1)
-    inv2 = _invariants(g2, tag2)
+    adj1 = g1.adjacency()
+    adj2 = g2.adjacency()
+    inv1 = _invariants(adj1, tag1)
+    inv2 = _invariants(adj2, tag2)
     if sorted(inv1.values()) != sorted(inv2.values()):
         return None
 
     by_inv: dict[tuple, list] = {}
-    for u in g2.vertices:
+    for u in adj2:  # label_key order, so each group is sorted
         by_inv.setdefault(inv2[u], []).append(u)
-    for group in by_inv.values():
-        group.sort(key=label_key)
 
     # Most-constrained vertices first keeps the branching factor small.
     order = sorted(
-        g1.vertices, key=lambda v: (len(by_inv[inv1[v]]), -inv1[v][0], label_key(v))
+        adj1, key=lambda v: (len(by_inv[inv1[v]]), -inv1[v][0], label_key(v))
     )
-    adj1 = g1.adjacency()
-    adj2 = g2.adjacency()
     mapping: dict = {}
     used: set = set()
 

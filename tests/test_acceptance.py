@@ -28,6 +28,8 @@ from cdsgame.overlap import overlap_graph
 from cdsgame.permutations import Permutation, apply_cds, legal_moves
 from cdsgame.suites import run_suite
 
+from test_graphs import without_vertices
+
 
 def report(capfd, number, label, ok):
     with capfd.disabled():
@@ -130,7 +132,7 @@ def chain_bead(m, k):
     five neighbours 2k-1, 2k, 2k+2, 2k+4, 2k+5 joined into a K5."""
     x, y = 2 * k + 1, 2 * k + 3
     five = (x - 2, x - 1, x + 1, y + 1, y + 2)
-    kept = gen_chain(m).without_vertices({x, y})
+    kept = without_vertices(gen_chain(m), {x, y})
     return Graph(kept.vertices, kept.edge_list() + list(combinations(five, 2)))
 
 
@@ -163,7 +165,7 @@ def test_criterion_08_chain_collapse(capfd):
         bead_moves = 0
         for p, q in sorted(legal_moves(alpha)):
             image = overlap_graph(apply_cds(alpha, p, q))
-            image = image.without_vertices(image.isolated_vertices())
+            image = without_vertices(image, image.isolated_vertices())
             k = bead_index(m, (to_chain[p], to_chain[q]))
             if k is not None:
                 bead_moves += 1

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -29,8 +30,11 @@ def test_pairs_alternate_and_are_summarised(monkeypatch):
     def fake_run(tree, workload, seed):
         calls.append((tree, seed))
         cpu = seed + (0.5 if tree == "P" else 0.0)  # the change is faster on every seed
+        slow = 2.0 if tree == "P" else 1.0  # and ran on a host half as fast
         return {"result": {"failed": 0, "metrics": {"cpu_s": {"value": cpu, "unit": "s"}}},
-                "label": {"git_commit": tree, "seed": seed}}
+                "label": {"git_commit": tree, "seed": seed,
+                          "speed_probe_ms": [slow * seed, slow * (seed + 1)],
+                          "steal_s": None if seed == 1 else slow * seed / 10}}
 
     monkeypatch.setattr(record, "run_once", fake_run)
     doc = record.record_workload("cds-tight", [1, 2, 3, 4], {"parent": "P", "change": "C"},
@@ -47,3 +51,30 @@ def test_pairs_alternate_and_are_summarised(monkeypatch):
     assert (cpu["change_better_pairs"], cpu["pairs"]) == (4, 4)
     assert doc["failed"] == {"parent": [0] * 4, "change": [0] * 4}
     assert [r["label"]["git_commit"] for r in doc["runs"][:2]] == ["P", "C"]
+    # Medians over every probe reading, and over the runs that read steal.
+    assert doc["host"] == {"parent": {"speed_probe_ms": 6.0, "steal_s": 0.6},
+                           "change": {"speed_probe_ms": 3.0, "steal_s": 0.3}}
+
+
+def test_unknown_workloads_are_refused_before_any_run(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def fake_run(tree, workload, seed):
+        # What `perfbench/run.py --workload all` prints: prefixed metrics.
+        calls.append((tree, workload, seed))
+        return {"result": {"failed": 0, "metrics": {"cds-tight.cpu_s": {"value": 1.0}}},
+                "label": {key: None for key in record.LABEL_KEYS}}
+
+    monkeypatch.setattr(record, "run_once", fake_run)
+    for runs in ("all:1", "cds-tigth:1-2"):
+        monkeypatch.setattr(sys, "argv", [
+            "record.py", "--tag", "t", "--parent", record.ROOT, "--change", record.ROOT,
+            "--runs", "cds-tight:1", "--runs", runs, "--out", str(tmp_path / "out.json")])
+        with pytest.raises(SystemExit) as exit_:
+            record.main()
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(runs.split(":")[0]) in err
+        assert "cds-tight, gcds-chain, verify-sweep, cli-session" in err
+    assert calls == []
+    assert not (tmp_path / "out.json").exists()

@@ -25,6 +25,8 @@ from cdsgame.graphs import (
 from cdsgame.overlap import overlap_graph
 from cdsgame.permutations import Permutation, is_fixed_point
 
+from test_graphs import without_vertices
+
 
 def test_gen_chain_small_cases():
     assert gen_chain(1) == Graph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
@@ -43,7 +45,7 @@ def test_gen_chain_counts_and_nesting():
         assert g.n_vertices() == 2 * m + 1
         assert g.n_edges() == 3 * m
         bigger = gen_chain(m + 1)
-        assert bigger.without_vertices({2 * m + 2, 2 * m + 3}) == g
+        assert without_vertices(bigger, {2 * m + 2, 2 * m + 3}) == g
 
 
 def test_gen_favorable():

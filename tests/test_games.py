@@ -35,7 +35,7 @@ from cdsgame.games import (
 from cdsgame.graphs import Graph, Position, apply_gcds2
 from cdsgame.permutations import Permutation, apply_cds, identity, legal_moves
 
-from test_graphs import _reference_apply_gcds2, all_graphs
+from test_graphs import _reference_apply_gcds2, all_graphs, without_vertices
 
 
 REPLAY_GRAPH = Graph(
@@ -527,10 +527,10 @@ def _cross_universe_pairs():
     for graph, fav in ((chain, favorable), (mixed, mixed_favorable)):
         first = graph.edge_list()[0]
         child = apply_gcds2(graph, first)
-        for smaller in (graph.without_vertices([graph.vertex_list()[0]]),
+        for smaller in (without_vertices(graph, [graph.vertex_list()[0]]),
                         Graph(child.vertices, child.edges)):
             yield Position(graph, fav), Position(smaller, fav & smaller.vertices)
-    ints = REPLAY_GRAPH.without_vertices([6, 7])
+    ints = without_vertices(REPLAY_GRAPH, [6, 7])
     strs = ints.relabel({v: str(v) for v in ints.vertices})
     assert strs.key_text() == ints.key_text()
     yield Position(ints, frozenset({1, 3, 5})), Position(strs, frozenset({"1", "3", "5"}))

@@ -48,6 +48,12 @@ def random_graph(rng, n, p=0.5, labels=None):
     return Graph(verts, edges)
 
 
+def without_vertices(g, doomed):
+    """g with the vertices in ``doomed`` and their edges deleted."""
+    gone = frozenset(doomed)
+    return Graph(g.vertices - gone, [e for e in g.edge_list() if gone.isdisjoint(e)])
+
+
 def _reference_apply_gcds(g, edge):
     """The pivot by the master-list case rules, kept as the oracle."""
     ml = masterlist(g, edge)
@@ -78,8 +84,8 @@ def _reference_apply_gcds2(g, edge):
     pivoted = _reference_apply_gcds(g, edge)
     doomed = set(edge)
     if len(members) > 1:
-        doomed |= {v for v in members if pivoted.is_isolated(v)}
-    return pivoted.without_vertices(doomed)
+        doomed |= members & pivoted.isolated_vertices()
+    return without_vertices(pivoted, doomed)
 
 
 def assert_pivots_match_the_reference(g):
@@ -93,9 +99,8 @@ def test_graph_construction_and_validation():
     g = Graph([1, 2, 3], [(1, 2)])
     assert g.n_vertices() == 3 and g.n_edges() == 1
     assert g.has_edge(2, 1)
-    assert g.neighbors(1) == {2}
-    assert g.degree(3) == 0
-    assert g.is_isolated(3) and not g.is_isolated(1)
+    assert not g.has_edge(1, 3) and not g.has_edge(1, 1) and not g.has_edge(1, 4)
+    assert g.adjacency() == {1: {2}, 2: {1}, 3: frozenset()}
     assert g.isolated_vertices() == {3}
     with pytest.raises(ValueError):
         Graph([1, 2], [(1, 1)])
@@ -120,12 +125,91 @@ def test_graph_pickles_and_copies_through_its_constructor():
     for graph in (g, child, Graph([1, "a b"], [(1, "a b")])):
         for clone in _clones(graph):
             assert clone == graph and hash(clone) == hash(graph)
-            assert clone._board is None and clone._adj is None
+            assert clone.board().universe.labels == tuple(clone.vertex_list())
             if "a b" not in graph.vertices:
                 assert clone.key_text() == graph.key_text()
     assert g.key_text() == "1,3,a,b|1-3,1-b,3-a"
     assert child.key_text() == "a,b|a-b"
     assert Graph.__reduce__(g)[0] is Graph
+
+
+def _frozenset_views(vs, es):
+    """The label views by the formulas of a graph that stores the vertex set
+    ``vs`` and the frozenset edges ``es``: the reference for the views a
+    Graph reads off its board."""
+    adj = {v: set() for v in vs}
+    for a, b in es:
+        adj[a].add(b)
+        adj[b].add(a)
+    pairs = [tuple(sorted(e, key=label_key)) for e in es]
+    pairs.sort(key=lambda pair: (label_key(pair[0]), label_key(pair[1])))
+    return {
+        "vertex_list": sorted(vs, key=label_key),
+        "edge_list": pairs,
+        "adjacency": {v: frozenset(nb) for v, nb in adj.items()},
+        "isolated_vertices": frozenset(v for v in vs if not adj[v]),
+        "n_vertices": len(vs),
+        "n_edges": len(es),
+    }
+
+
+def _label_pivot(vs, es, edge, prune):
+    """The pivot on label sets by its three classes (see the graphs module),
+    then apply_gcds2's pruning when ``prune``."""
+    x, y = edge
+    nx = {v for e in es if x in e for v in e} - {x, y}
+    ny = {v for e in es if y in e for v in e} - {x, y}
+    classes = (nx - ny, ny - nx, nx & ny)
+    toggled = {frozenset((p, q)) for c1, c2 in combinations(classes, 2) for p in c1 for q in c2}
+    es = {e for e in es if x not in e and y not in e} ^ toggled
+    if prune:
+        members = nx | ny
+        doomed = {x, y}
+        if len(members) > 1:
+            doomed |= {v for v in members if not any(v in e for e in es)}
+        vs = vs - doomed
+    return frozenset(vs), es
+
+
+def assert_views_match_the_reference(g, vs, es):
+    assert g.vertices == vs and g.edges == es
+    assert {name: getattr(g, name)() for name in (
+        "vertex_list", "edge_list", "adjacency", "isolated_vertices", "n_vertices", "n_edges",
+    )} == _frozenset_views(vs, es)
+    assert list(g.adjacency()) == g.vertex_list()
+    probes = list(g.board().universe.labels) + ["z", 99]
+    for a in probes:
+        for b in probes:
+            assert g.has_edge(a, b) == (frozenset((a, b)) in es)
+
+
+@st.composite
+def _labelled_graphs(draw):
+    # 1 and "1" are different labels; "x" is no int's text.
+    labels = draw(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(["0", "1", "2", "x", "y"])),
+                           min_size=1, max_size=9, unique=True))
+    pairs = [pair for pair in combinations(labels, 2) if draw(st.booleans())]
+    return labels, [pair[::-1] if draw(st.booleans()) else pair for pair in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_labelled_graphs())
+def test_label_views_match_the_frozenset_formulas(drawn):
+    labels, pairs = drawn
+    g = Graph(labels, pairs)
+    vs, es = frozenset(labels), frozenset(map(frozenset, pairs))
+    assert_views_match_the_reference(g, vs, es)
+    for edge in g.edge_list():
+        for pivot, prune in ((apply_gcds, False), (apply_gcds2, True)):
+            child = pivot(g, edge)
+            assert child.board().universe is g.board().universe
+            assert_views_match_the_reference(child, *_label_pivot(vs, es, edge, prune))
+            # Same labels: bits are compared; fewer labels: label sets are.
+            rebuilt = Graph(child.vertex_list(), child.edge_list())
+            assert child == rebuilt and rebuilt == child and hash(child) == hash(rebuilt)
+            if child.n_edges():
+                fewer = Graph(child.vertex_list(), child.edge_list()[1:])
+                assert child != fewer and fewer != child
 
 
 def test_vertex_and_edge_lists_are_sorted():
@@ -137,7 +221,7 @@ def test_vertex_and_edge_lists_are_sorted():
 
 def test_without_vertices_and_relabel():
     g = Graph([1, 2, 3], [(1, 2), (2, 3)])
-    assert g.without_vertices([2]) == Graph([1, 3], [])
+    assert without_vertices(g, [2]) == Graph([1, 3], [])
     assert g.relabel({1: "x", 2: "y", 3: "z"}) == Graph("xyz", [("x", "y"), ("y", "z")])
 
 
@@ -228,7 +312,7 @@ def test_gcds_is_order_insensitive_and_preserves_vertices():
             assert out.vertices == g.vertices
             assert out == apply_gcds(g, (edge[1], edge[0]))
             a, b = edge
-            assert out.is_isolated(a) and out.is_isolated(b)
+            assert {a, b} <= out.isolated_vertices()
 
 
 def test_gcds_never_touches_outside_edges():
