@@ -15,8 +15,8 @@ seed order with its median, quartiles and spread (``perfbench/stats.py``),
 and how many seeds the change won; each side's median speed probe and steal
 time, so that a slower host can be told from slower code; and every run's
 label: commit, seed, memo state, steal time, speed probe, nproc and Python.
-Workloads are checked against BENCHMARK.json before anything runs.  Only the standard library
-is used.
+Workloads are checked against BENCHMARK.json before anything runs.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
