@@ -45,7 +45,6 @@ from .games import (
     successor,
 )
 from .graphs import (
-    Board,
     NotAnEdgeError,
     Position,
     apply_gcds,
@@ -292,11 +291,6 @@ def _prompt(moves: list[str]) -> str:
     return line.strip()
 
 
-def _labelled(state):
-    """A gcds board as its labelled graph; a permutation as it is."""
-    return state.graph() if isinstance(state, Board) else state
-
-
 def _cmd_play(args):
     if (args.perm is None) == (args.graph is None):
         raise ParseError("play needs exactly one of --perm or --graph")
@@ -306,7 +300,7 @@ def _cmd_play(args):
         state, game, name = root.perm, CdsGame(root.favorable), "cds"
     else:
         root = _position(args)
-        state, game, name = root.graph.board(), GcdsGame(root.favorable), "gcds"
+        state, game, name = root.graph, GcdsGame(root.favorable), "gcds"
 
     transcript = []
     mover = ONE
@@ -320,11 +314,11 @@ def _cmd_play(args):
             i = rendered.index(choice)
             move, after = moves[i], successor(game, state, entry, i)
         else:
-            report = game.solve(_labelled(state), mover, cache)
+            report = game.solve(state, mover, cache)
             move = report.principal_variation[0]
             after = successor(game, state, entry, moves.index(move))
             if report.winner == mover:
-                check = game.solve(_labelled(after), opponent(mover), cache)
+                check = game.solve(after, opponent(mover), cache)
                 assert check.winner == mover, "engine left a won game"
             print(f"engine plays {move[0]},{move[1]}", file=sys.stderr)
         transcript.append({"mover": mover, "move": move_to_doc(move)})
@@ -332,7 +326,7 @@ def _cmd_play(args):
         mover = opponent(mover)
 
     _store_cache(cache, args.cache, stamp)
-    final = {"perm": perm_to_doc(state)} if name == "cds" else graph_to_doc(state.graph())
+    final = {"perm": perm_to_doc(state)} if name == "cds" else graph_to_doc(state)
     doc = {"game": name, "human": args.human, "winner": winner,
            "human_won": winner == args.human, "moves": transcript, "final": final}
     return doc, 0

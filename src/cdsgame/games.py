@@ -12,35 +12,35 @@ Both games alternate moves between players ONE and TWO until no move remains.
 
 Both games are finite alternating win/loss games, and one engine solves
 them.  A game object (CdsGame, GcdsGame) holds the favorable set, takes a
-bare Permutation or a graph's :class:`~cdsgame.graphs.Board` as the state
-and supplies what the engine reads:
-``key(state, mover)``, ``outcome(state)`` (the winner at a terminal, else
-None), ``moves(state)`` (the state's successor-memo entry: its sorted move
-list and a list of the children made so far, each made by ``make(state,
-move)`` on first use, see :func:`successor`) and ``variant(state, depth)``
-(a natural number every move lowers); its ``solve(perm_or_graph, mover,
-cache)`` is the size-checked public solver.  A gcds state is a board: the
-alive vertices and the adjacency rows as bit masks over the root graph's
-labels, pivoted with mask operations (graphs.py).  Its key text is rendered
-from the bits once per board, byte for byte the text a Graph renders.  The
-gcds successor memo is keyed by that text, so roots with different label
-sets share entries where both label sets are plain (see graphs.py; other
-boards are keyed by their bits and universe); its moves are label pairs, which ``make`` maps through the state's own
-universe.  The public solvers take labelled graphs and return label pairs.
-The search builds only the children it
-visits, in move order, and stops at the first winning one.  Each of the two
-successor memos is shared by every solve in the process, and the cds memo
-also by :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the
-cds move graph through ``CdsGame.moves`` and :func:`successor`.  A memo
-charges each state its full fan-out and is emptied when a new state would
-take the charge past MEMO_CHILDREN (2**16), so it never holds more children
-than that or one state's fan-out; :func:`clear_memos` empties both memos
-and :func:`memo_stats` reports on them.  The search
-is negamax with memoisation over the exact labelled state; no symmetry
-reduction is applied, so cache keys are reproducible strings and can be
-persisted to disk and reloaded across runs.  The principal variation always
-plays the least winning move for the side to move (least move at all in
-lost positions), and every solve asserts that its terminal agrees with the
+bare Permutation or a :class:`~cdsgame.graphs.Graph` as the state and
+supplies what the engine reads: ``key(state, mover)``, ``outcome(state)``
+(the winner at a terminal, else None), ``moves(state)`` (the state's
+successor-memo entry: its sorted move list and a list of the children made
+so far, each made by ``make(state, move)`` on first use, see
+:func:`successor`) and ``variant(state, depth)`` (a natural number every
+move lowers); its ``solve(perm_or_graph, mover, cache)`` is the
+size-checked public solver.  A gcds state is a graph: its vertices and
+adjacency rows are bit masks over the root graph's labels, and a move
+pivots them with mask operations into a child over the same labels,
+without the validating constructor (graphs.py).  A graph's key text is
+rendered from the bits once.  The gcds successor memo is keyed by that
+text, so roots with different label sets share entries where both label
+sets are plain (see graphs.py; other graphs are keyed by their bits and
+universe); its moves are label pairs, which ``make`` maps through the
+state's own universe.  The search builds only the children it visits, in
+move order, and stops at the first winning one.  Each of the two successor
+memos is shared by every solve in the process, and the cds memo also by
+:func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the cds
+move graph through ``CdsGame.moves`` and :func:`successor`.  A memo charges
+each state its full fan-out and is emptied when a new state would take the
+charge past MEMO_CHILDREN (2**16), so it never holds more children than
+that or one state's fan-out; :func:`clear_memos` empties both memos and
+:func:`memo_stats` reports on them.  The search is negamax with
+memoisation over the exact labelled state; no symmetry reduction is
+applied, so cache keys are reproducible strings and can be persisted to
+disk and reloaded across runs.  The principal variation always plays the
+least winning move for the side to move (least move at all in lost
+positions), and every solve asserts that its terminal agrees with the
 reported winner.
 """
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .graphs import Board, Graph, Position
+from .graphs import Graph, Position
 from .permutations import (
     Permutation,
     SizeBoundError,
@@ -157,15 +157,14 @@ class NpReport(Record):
 def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
     """``G|vertices|edges|favorable|mover``; favorable labels outside the
     graph are left out."""
-    board = graph.board()
-    return _board_key(board, board.universe.mask(favorable), mover)
+    return _graph_key(graph, graph.universe.mask(favorable), mover)
 
 
-def _board_key(board: Board, favorable: int, mover: str) -> str:
-    """The state key of a board, rendered from its bits; ``favorable`` is
-    the favorable labels' mask over the board's universe."""
-    text = board.text()  # first, so a bad graph label is the one reported
-    fs = board.universe.render(favorable & board.alive)
+def _graph_key(graph: Graph, favorable: int, mover: str) -> str:
+    """The state key of a graph, rendered from its bits; ``favorable`` is
+    the favorable labels' mask over the graph's universe."""
+    text = graph.key_text()  # first, so a bad graph label is the one reported
+    fs = graph.universe.render(favorable & graph.alive)
     return f"G|{text}|{fs}|{1 if mover == ONE else 2}"
 
 
@@ -307,7 +306,7 @@ def cds_terminal_winner(perm: Permutation, favorable: frozenset) -> str:
 # fan-out when it enters; one that would pass the bound empties the table
 # first, and loops already running keep their own entry.  Measured with
 # tracemalloc, the gcds memo holds about 0.7 KB per made child of the
-# 17-vertex chain 8 (the board, its key text, its share of the entries and
+# 17-vertex chain 8 (the graph, its key text, its share of the entries and
 # move lists) and the cds memo about 0.6 KB per child of B_20, so a full memo
 # is about 45 MB or 40 MB at those sizes.
 MEMO_CHILDREN = 1 << 16
@@ -362,7 +361,7 @@ def _cds_moves(perm: Permutation) -> list:
 
 
 _cds_successors = _successor_memo(_cds_moves)
-_gcds_successors = _successor_memo(Board.moves, Board.memo_key)
+_gcds_successors = _successor_memo(Graph.edge_list, Graph.memo_key)
 _MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
 
 
@@ -417,11 +416,10 @@ class CdsGame(Record):
 
 
 class GcdsGame:
-    """GCDS(G, A) with favorable vertices A.  The engine's states are boards
-    (``graph.board()`` and the boards made from it); a state is judged on
-    A & V.  ``solve`` takes a labelled graph.  The favorable set's mask is
-    kept per universe the game meets, so it lives as long as the game; games
-    compare and hash by A alone."""
+    """GCDS(G, A) with favorable vertices A; states are graphs, and a state
+    is judged on A & V.  The favorable set's mask is kept per universe the
+    game meets, so it lives as long as the game; games compare and hash by
+    A alone."""
 
     __slots__ = ("favorable", "_masks")
 
@@ -448,30 +446,30 @@ class GcdsGame:
     def __repr__(self) -> str:
         return f"GcdsGame(favorable={self.favorable!r})"
 
-    def _favorable_mask(self, board: Board) -> int:
-        universe = board.universe
+    def _favorable_mask(self, graph: Graph) -> int:
+        universe = graph.universe
         found = self._masks.get(universe)
         if found is None:
             found = self._masks[universe] = universe.mask(self.favorable)
         return found
 
-    def key(self, board: Board, mover: str) -> str:
-        return _board_key(board, self._favorable_mask(board), mover)
+    def key(self, graph: Graph, mover: str) -> str:
+        return _graph_key(graph, self._favorable_mask(graph), mover)
 
-    def outcome(self, board: Board) -> str | None:
-        if any(board.rows):
+    def outcome(self, graph: Graph) -> str | None:
+        if any(graph.rows):
             return None
-        alive = board.alive
-        return ONE if alive and not alive & ~self._favorable_mask(board) else TWO
+        alive = graph.alive
+        return ONE if alive and not alive & ~self._favorable_mask(graph) else TWO
 
     moves = staticmethod(_gcds_successors)
 
     @staticmethod
-    def make(board: Board, edge: tuple) -> Board:
-        return board.apply_gcds2(*edge)
+    def make(graph: Graph, edge: tuple) -> Graph:
+        return graph._pivot_at(*edge, prune=True)
 
-    def variant(self, board: Board, depth: int) -> int:
-        rows = board.rows
+    def variant(self, graph: Graph, depth: int) -> int:
+        rows = graph.rows
         return len(rows) - rows.count(0)  # vertices with an edge; moves burn them
 
     def solve(self, graph: Graph, mover: str, cache: SolveCache | None = None):
@@ -544,7 +542,7 @@ def solve_gcds(
         raise SizeBoundError(
             f"gcds solver limited to {max_vertices} vertices, got {graph.n_vertices()}"
         )
-    return _solve(GcdsGame(state.position.favorable), graph.board(), state.mover, cache)
+    return _solve(GcdsGame(state.position.favorable), graph, state.mover, cache)
 
 
 def solve_cds(

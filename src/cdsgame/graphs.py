@@ -20,16 +20,15 @@ together with every master-list vertex left isolated — except that the sole
 member of a one-element master list survives.  Vertices outside the move are
 never deleted, isolated or not.
 
-A :class:`Graph` is stored as a :class:`Board`: an ``alive`` bit mask and
-one adjacency mask per vertex, over a shared universe that numbers the
-labels in ``label_key`` order.  Its label views (vertex and edge sets,
+A :class:`Graph` is stored as bit masks over a *universe* that numbers the
+labels in ``label_key`` order: an ``alive`` mask of its vertices and one
+adjacency mask (row) per label.  Its label views (vertex and edge sets,
 adjacency, the sorted lists) are read off the masks.  As masks each class of
 a pivot is one AND/AND-NOT of the rows of x and y, and each class member's
-row toggles against the union of the other two classes.
-``apply_gcds``/``apply_gcds2`` pivot a graph's board and wrap the result,
-which keeps the root's universe; the gcds solver plays on boards throughout
-and renders its state keys from the bits (:meth:`Board.text`), which is
-also what :meth:`Graph.key_text` returns.
+row toggles against the union of the other two classes.  A pivot builds its
+graph from the masks over the parent's universe, without the validating
+constructor; the gcds solver plays on these graphs and renders its state
+keys from the bits (:meth:`Graph.key_text`).
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .record import Record
 __all__ = [
     "NotAnEdgeError",
     "Graph",
-    "Board",
     "MasterList",
     "Position",
     "label_key",
@@ -62,10 +60,12 @@ class NotAnEdgeError(Exception):
 
 
 def label_key(v: Label):
-    """Sort key putting int labels first (numeric), then others by string."""
+    """Sort key putting int labels first (numeric), then others by string;
+    labels with one string (None and "None") order by type name, then by
+    ``repr``."""
     if isinstance(v, int) and not isinstance(v, bool):
         return (0, v, "")
-    return (1, 0, str(v))
+    return (1, 0, str(v), type(v).__name__, repr(v))
 
 
 # State keys and cache files use these characters as separators.
@@ -85,12 +85,16 @@ def key_label(v: Label) -> str:
 
 
 class Graph:
-    """Immutable undirected simple graph (no loops, no multi-edges), stored
-    as a :class:`Board`.  The label views (``vertices``, ``edges``,
-    ``adjacency()`` and the sorted lists) are read off the board's masks;
-    the two label sets are built on first use and kept."""
+    """Immutable undirected simple graph (no loops, no multi-edges).
 
-    __slots__ = ("_board", "_vertices", "_edges", "_hash")
+    Bit i of ``alive`` is set when ``universe.labels[i]`` is a vertex, and
+    ``rows[i]`` is the mask of its neighbours (0 when it is not).  A graph
+    built by the constructor has a universe of its own labels; a pivot's
+    graph keeps its parent's.  The label views (``vertices``, ``edges``,
+    ``adjacency()`` and the sorted lists) are read off the masks; the two
+    label sets and the key text are built on first use and kept."""
+
+    __slots__ = ("alive", "rows", "universe", "_text", "_sets")
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable = ()):
         universe = _Universe(frozenset(vertices))
@@ -105,13 +109,7 @@ class Graph:
             i, j = index[a], index[b]
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        self._keep(Board((1 << len(rows)) - 1, tuple(rows), universe))
-
-    def _keep(self, board: "Board") -> None:
-        object.__setattr__(self, "_board", board)
-        object.__setattr__(self, "_vertices", None)
-        object.__setattr__(self, "_edges", None)
-        object.__setattr__(self, "_hash", None)
+        _fill(self, (1 << len(rows)) - 1, tuple(rows), universe)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -120,83 +118,156 @@ class Graph:
         # Rebuilt through the validating constructor, over its own labels.
         return Graph, (tuple(self.vertex_list()), tuple(self.edge_list()))
 
+    def _label_sets(self) -> tuple:
+        sets = self._sets
+        if sets is None:
+            sets = (self.universe.labels_in(self.alive),
+                    frozenset(map(frozenset, self.edge_list())))
+            _set_sets(self, sets)
+        return sets
+
     @property
     def vertices(self) -> frozenset:
-        vs = self._vertices
-        if vs is None:
-            vs = frozenset(self.vertex_list())
-            object.__setattr__(self, "_vertices", vs)
-        return vs
+        return self._label_sets()[0]
 
     @property
     def edges(self) -> frozenset:
-        es = self._edges
-        if es is None:
-            es = frozenset(map(frozenset, self._board.moves()))
-            object.__setattr__(self, "_edges", es)
-        return es
+        return self._label_sets()[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return False
-        a, b = self._board, other._board
-        if a.universe.labels == b.universe.labels:  # bits mean the same labels
-            return a.alive == b.alive and a.rows == b.rows
-        return self.vertices == other.vertices and self.edges == other.edges
+        if self.universe.labels == other.universe.labels:  # bits mean the same labels
+            return self.alive == other.alive and self.rows == other.rows
+        return self._label_sets() == other._label_sets()
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.vertices, self.edges))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._label_sets())
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_list()}, {self.edge_list()})"
 
     def n_vertices(self) -> int:
-        return self._board.alive.bit_count()
+        return self.alive.bit_count()
 
     def n_edges(self) -> int:
-        return sum(row.bit_count() for row in self._board.rows) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def adjacency(self) -> dict[Label, frozenset]:
         """Each vertex's neighbours, in ``label_key`` order of the vertices."""
-        labels, rows = self._board.universe.labels, self._board.rows
-        return {labels[i]: frozenset([labels[j] for j in _bits(rows[i])])
-                for i in _bits(self._board.alive)}
+        universe, rows = self.universe, self.rows
+        return {universe.labels[i]: universe.labels_in(rows[i]) for i in _bits(self.alive)}
 
     def has_edge(self, a: Label, b: Label) -> bool:
-        index = self._board.universe.index
+        index = self.universe.index
         i, j = index.get(a), index.get(b)
-        return i is not None and j is not None and bool(self._board.rows[i] >> j & 1)
+        return i is not None and j is not None and bool(self.rows[i] >> j & 1)
 
     def isolated_vertices(self) -> frozenset:
-        labels, rows = self._board.universe.labels, self._board.rows
-        return frozenset([labels[i] for i in _bits(self._board.alive) if not rows[i]])
+        labels, rows = self.universe.labels, self.rows
+        return frozenset([labels[i] for i in _bits(self.alive) if not rows[i]])
 
     def vertex_list(self) -> list:
-        labels = self._board.universe.labels
-        return [labels[i] for i in _bits(self._board.alive)]
+        labels = self.universe.labels
+        return [labels[i] for i in _bits(self.alive)]
 
     def edge_list(self) -> list[tuple]:
-        return self._board.moves()
-
-    def board(self) -> "Board":
-        """The board the graph is stored as."""
-        return self._board
+        """The edges as label pairs (a, b) with a before b, sorted by
+        ``label_key`` of a then of b."""
+        labels, rows = self.universe.labels, self.rows
+        out = []
+        m = self.alive
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            a = labels[i]
+            up = rows[i] & -(low << 1)  # the neighbours above i
+            while up:
+                bit = up & -up
+                up ^= bit
+                out.append((a, labels[bit.bit_length() - 1]))
+        return out
 
     def key_text(self) -> str:
-        """``vertices|edges`` as the solver's state keys write them (see
-        :meth:`Board.text`); a label :func:`key_label` rejects raises every
+        """``vertices|edges`` as the solver's state keys write them: the
+        vertices' key strings in bit order, then ``a-b`` for each edge in
+        :meth:`edge_list` order.  Bit order is ``label_key`` order, so this
+        is byte for byte the rendering of ``vertex_list()`` and
+        ``edge_list()``.  A label :func:`key_label` rejects raises every
         time."""
-        return self._board.text()
+        text = self._text
+        if text is None:
+            names, rows = self.universe.names, self.rows
+            vs, es = [], []
+            m = self.alive
+            while m:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                name = names[i]
+                vs.append(name)
+                up = rows[i] & -(low << 1)
+                while up:
+                    bit = up & -up
+                    up ^= bit
+                    es.append(f"{name}-{names[bit.bit_length() - 1]}")
+            if None in vs:  # raise for the first label that cannot be keyed
+                bad = self.universe.labels[next(i for i in _bits(self.alive) if names[i] is None)]
+                raise ValueError(f"vertex label {bad!r} cannot be used in a cache key")
+            text = f"{','.join(vs)}|{','.join(es)}"
+            _set_text(self, text)
+        return text
+
+    def memo_key(self):
+        """The key text, which identifies the labelled graph among graphs of
+        plain universes.  Otherwise one text can stand for different labels
+        in two universes (1 in one, "1" in the other), and the memo keeps
+        moves as labels, so the key is the bits and the universe."""
+        if self.universe.plain:
+            return self.key_text()
+        return self.alive, self.rows, self.universe
 
     def relabel(self, mapping: Mapping[Label, Label]) -> "Graph":
         return Graph(
             (mapping[v] for v in self.vertex_list()),
             ((mapping[a], mapping[b]) for a, b in self.edge_list()),
         )
+
+    def _pivot_at(self, a: Label, b: Label, prune: bool) -> "Graph":
+        """The pivot at the edge {a, b} over this graph's universe, pruned as
+        :func:`apply_gcds2` says when ``prune``; the edge is not checked."""
+        index = self.universe.index
+        x, y = index[a], index[b]
+        rows = list(self.rows)
+        members = _pivot(rows, x, y)
+        alive = self.alive
+        if prune:
+            alive &= ~(1 << x | 1 << y)
+            if members & (members - 1):  # more than one member
+                while members:
+                    low = members & -members
+                    members ^= low
+                    if not rows[low.bit_length() - 1]:
+                        alive ^= low
+        return _fill(_new(Graph), alive, tuple(rows), self.universe)
+
+
+# A graph's slots are written through their own setters, past __setattr__.
+# The pivot makes every solver child this way, and the setters are faster
+# than object.__setattr__.
+_new = object.__new__
+_set_alive, _set_rows, _set_universe, _set_text, _set_sets = (
+    Graph.__dict__[name].__set__ for name in Graph.__slots__)
+
+
+def _fill(g: Graph, alive: int, rows: tuple, universe: "_Universe") -> Graph:
+    _set_alive(g, alive)
+    _set_rows(g, rows)
+    _set_universe(g, universe)
+    _set_text(g, None)
+    _set_sets(g, None)
+    return g
 
 
 def _bits(mask: int):
@@ -215,7 +286,7 @@ def _is_int_text(s: str) -> bool:
 
 
 class _Universe:
-    """What the bits of a family of boards stand for: a root graph's labels
+    """What the bits of a family of graphs stand for: a root graph's labels
     in ``label_key`` order, the label -> bit index map, and each label's key
     string (None where :func:`key_label` rejects the label).  A label's key
     string is its ``str``, unless two labels of the universe have the same
@@ -224,8 +295,8 @@ class _Universe:
 
     The universe is *plain* when every label is an int or a str that is no
     int's text.  A key string then names the same label in every plain
-    universe, so boards of two plain universes with the same text are the
-    same labelled graph.
+    universe, so graphs of two plain universes with the same key text are
+    the same labelled graph.
     """
 
     __slots__ = ("labels", "index", "plain", "_names")
@@ -260,107 +331,15 @@ class _Universe:
                 found |= 1 << i
         return found
 
+    def labels_in(self, mask: int) -> frozenset:
+        """The labels of the bits of ``mask``."""
+        labels = self.labels
+        return frozenset([labels[i] for i in _bits(mask)])
+
     def render(self, mask: int) -> str:
         """The key strings of the labels in ``mask``, comma-separated, in bit order."""
         names = self.names
         return ",".join([names[i] for i in _bits(mask)])
-
-
-class Board:
-    """A graph as masks over a universe: bit i of ``alive`` is set when
-    ``universe.labels[i]`` is a vertex, and ``rows[i]`` is the mask of its
-    neighbours (0 when it is not).  A board is never changed once made; its
-    key text is rendered on first use and kept."""
-
-    __slots__ = ("alive", "rows", "universe", "_text")
-
-    def __init__(self, alive: int, rows: tuple, universe: _Universe):
-        self.alive = alive
-        self.rows = rows
-        self.universe = universe
-        self._text = None
-
-    def text(self) -> str:
-        """``vertices|edges``: the vertices' key strings in bit order, then
-        ``a-b`` for each edge in the order of the pair (a, b), a before b.
-        Bit order is ``label_key`` order, so this is byte for byte the
-        rendering of ``vertex_list()`` and ``edge_list()``."""
-        text = self._text
-        if text is None:
-            names, rows = self.universe.names, self.rows
-            vs, es = [], []
-            m = self.alive
-            while m:
-                low = m & -m
-                m ^= low
-                i = low.bit_length() - 1
-                name = names[i]
-                vs.append(name)
-                up = rows[i] & -(low << 1)  # the neighbours above i
-                while up:
-                    bit = up & -up
-                    up ^= bit
-                    es.append(f"{name}-{names[bit.bit_length() - 1]}")
-            if None in vs:  # raise for the first label that cannot be keyed
-                bad = self.universe.labels[next(i for i in _bits(self.alive) if names[i] is None)]
-                raise ValueError(f"vertex label {bad!r} cannot be used in a cache key")
-            text = self._text = f"{','.join(vs)}|{','.join(es)}"
-        return text
-
-    def memo_key(self):
-        """The text, which identifies the labelled graph among boards of plain
-        universes.  Otherwise one text can stand for different labels in two
-        universes (1 in one, "1" in the other), and the memo keeps moves as
-        labels, so the key is the bits and the universe."""
-        if self.universe.plain:
-            return self.text()
-        return self.alive, self.rows, self.universe
-
-    def moves(self) -> list[tuple]:
-        """The edges as label pairs (a, b) with a before b, sorted by
-        ``label_key`` of a then of b: this is ``Graph.edge_list()``."""
-        labels, rows = self.universe.labels, self.rows
-        out = []
-        m = self.alive
-        while m:
-            low = m & -m
-            m ^= low
-            i = low.bit_length() - 1
-            a = labels[i]
-            up = rows[i] & -(low << 1)
-            while up:
-                bit = up & -up
-                up ^= bit
-                out.append((a, labels[bit.bit_length() - 1]))
-        return out
-
-    def apply_gcds(self, a: Label, b: Label) -> "Board":
-        """The pivot at the edge {a, b}; every vertex stays."""
-        index = self.universe.index
-        rows = list(self.rows)
-        _pivot(rows, index[a], index[b])
-        return Board(self.alive, tuple(rows), self.universe)
-
-    def apply_gcds2(self, a: Label, b: Label) -> "Board":
-        """The pivot at {a, b}, pruned as :func:`apply_gcds2` says."""
-        index = self.universe.index
-        x, y = index[a], index[b]
-        rows = list(self.rows)
-        members = _pivot(rows, x, y)
-        alive = self.alive & ~(1 << x | 1 << y)
-        if members & (members - 1):  # more than one member
-            while members:
-                low = members & -members
-                members ^= low
-                if not rows[low.bit_length() - 1]:
-                    alive ^= low
-        return Board(alive, tuple(rows), self.universe)
-
-    def graph(self) -> Graph:
-        """The labelled graph stored as this board; no label set is built."""
-        g = object.__new__(Graph)
-        g._keep(self)
-        return g
 
 
 class MasterList(Record):
@@ -388,10 +367,11 @@ def _check_edge(g: Graph, edge) -> tuple[Label, Label]:
 def masterlist(g: Graph, edge) -> MasterList:
     """Master list at the ordered pair (x, y); columns follow the pair order."""
     x, y = _check_edge(g, edge)
-    adj = g.adjacency()
+    universe, rows = g.universe, g.rows
+    i, j = universe.index[x], universe.index[y]
     return MasterList(
-        column_x=adj[x] - {y},
-        column_y=adj[y] - {x},
+        column_x=universe.labels_in(rows[i] & ~(1 << j)),
+        column_y=universe.labels_in(rows[j] & ~(1 << i)),
     )
 
 
@@ -421,7 +401,7 @@ def _pivot(rows: list, x: int, y: int) -> int:
 def apply_gcds(g: Graph, edge) -> Graph:
     """Pivot at an edge; the vertex set is unchanged and x, y end up isolated."""
     x, y = _check_edge(g, edge)
-    return g.board().apply_gcds(x, y).graph()
+    return g._pivot_at(x, y, prune=False)
 
 
 def apply_gcds2(g: Graph, edge) -> Graph:
@@ -431,7 +411,7 @@ def apply_gcds2(g: Graph, edge) -> Graph:
     when isolated.  Vertices outside the move always survive.
     """
     x, y = _check_edge(g, edge)
-    return g.board().apply_gcds2(x, y).graph()
+    return g._pivot_at(x, y, prune=True)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,14 @@ def test_exit_code_verification(capsys):
     assert len(doc["suites"][0]["failures"]) == 10
 
 
+def test_verify_refuses_an_oversized_max_n_at_once(capsys):
+    for suite in ("commutation", "pile-lemma", "bounds", "tight"):
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, "verify", suite, "--max-n", "12")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and doc["error"]["type"] == "size-bound", suite
+
+
 def test_verify_output_is_deterministic(capsys):
     code1, doc1 = run_cli(capsys, "verify", "formats", "--seed", "5")
     code2, doc2 = run_cli(capsys, "verify", "formats", "--seed", "5")

@@ -485,7 +485,7 @@ def test_bounded_memo_gives_the_same_reports(monkeypatch):
 
     def watch(key):
         def keyed(state, favorable, mover):
-            moves = legal_moves(state) if isinstance(state, Permutation) else state.moves()
+            moves = legal_moves(state) if isinstance(state, Permutation) else state.edge_list()
             fan_out[0] = max(fan_out[0], len(moves))
             held.append(max(m["children"] for m in memo_stats().values()))
             return key(state, favorable, mover)
@@ -493,11 +493,35 @@ def test_bounded_memo_gives_the_same_reports(monkeypatch):
 
     monkeypatch.setattr(games, "MEMO_CHILDREN", bound)
     monkeypatch.setattr(games, "perm_state_key", watch(games.perm_state_key))
-    monkeypatch.setattr(games, "_board_key", watch(games._board_key))
+    monkeypatch.setattr(games, "_graph_key", watch(games._graph_key))
     clear_memos()
     assert list(_pinned_solves()) == expected
     assert max(held) <= bound + fan_out[0]
     assert all(info["states"] <= bound for info in memo_stats().values())
+    clear_memos()
+
+
+def test_the_solver_never_calls_the_validating_constructor(monkeypatch):
+    # Every child is built from the parent's masks, so the solves and the
+    # traced graphs.Graph count cost nothing per state.
+    root, favorable = gen_chain(5), gen_favorable(5)
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    clear_memos()
+    for mover in (ONE, TWO):
+        solve_gcds(GcdsState(Position(root, favorable), mover))
+    states, todo = 0, [root]
+    while todo:
+        graph = todo.pop()
+        states += 1
+        todo += [apply_gcds2(graph, edge) for edge in graph.edge_list()]
+    assert states > 1000 and built == []
     clear_memos()
 
 
@@ -558,9 +582,9 @@ def test_memo_shared_across_label_sets_gives_fresh_reports():
     clear_memos()
 
 
-def test_memo_tells_apart_boards_of_one_universe_with_one_text():
+def test_memo_tells_apart_graphs_of_one_universe_with_one_text():
     # 1 and "1" have one str: the move (1, 2) leaves the path "1"-"2"-x and
-    # the move ("1", "2") leaves 1-2-x, two boards whose str texts agree.
+    # the move ("1", "2") leaves 1-2-x, two graphs whose str texts agree.
     # Such a universe keys its labels by repr, so the key texts differ too.
     graph = Graph([1, 2, "1", "2", "x"], [(1, 2), (2, "x"), ("1", "2"), ("2", "x")])
     assert apply_gcds2(graph, (1, 2)).key_text() == "'1','2','x'|'1'-'2','2'-'x'"
@@ -596,10 +620,9 @@ def test_labels_with_one_str_share_no_cache_key():
     clear_memos()
 
 
-def _built_prefixes(game, root, reference, view=lambda state: state):
+def _built_prefixes(game, root, reference):
     """Walk every memo entry the engine built below ``root``: its children must
-    be made in move order and, seen through ``view``, equal the eager
-    ``reference(state)`` list."""
+    be made in move order and equal the eager ``reference(state)`` list."""
     seen, todo = set(), [root]
     while todo:
         state = todo.pop()
@@ -609,7 +632,7 @@ def _built_prefixes(game, root, reference, view=lambda state: state):
         moves, children = game.moves(state)
         made = [c for c in children if c is not None]
         assert children[:len(made)] == made  # a prefix, in move order
-        assert [(m, view(c)) for m, c in zip(moves, made)] == reference(state)[:len(made)]
+        assert list(zip(moves, made)) == reference(state)[:len(made)]
         todo += made
 
 
@@ -629,10 +652,8 @@ def test_lazy_gcds_successors_match_the_eager_list(game):
     graph, favorable, mover = game
     clear_memos()
     solve_gcds(GcdsState(Position(graph, favorable), mover))
-    _built_prefixes(GcdsGame(favorable), graph.board(),
-                    lambda b: [(e, _reference_apply_gcds2(b.graph(), e))
-                               for e in b.graph().edge_list()],
-                    view=lambda b: b.graph())
+    _built_prefixes(GcdsGame(favorable), graph,
+                    lambda g: [(e, _reference_apply_gcds2(g, e)) for e in g.edge_list()])
 
 
 _LABELS = st.one_of(st.integers(-5, 30), st.text("abcXYZ0123_|,- ", min_size=0, max_size=3))

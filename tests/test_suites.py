@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from cdsgame.suites import SUITE_NAMES, _fan_out, run_all, run_suite
+from cdsgame import suites
+from cdsgame.permutations import SizeBoundError
+from cdsgame.suites import SUITE_MAX_N, SUITE_NAMES, _fan_out, run_all, run_suite
 
 
 def test_suite_names_are_stable():
@@ -116,6 +118,17 @@ def test_chain_collapse_reports_the_known_interior_failures():
 def test_run_all_covers_every_suite():
     names = [r.name for r in run_all(max_n=3, max_m=2, samples=5)]
     assert names == list(SUITE_NAMES)
+
+
+def test_max_n_above_the_bound_is_refused_before_any_work(monkeypatch):
+    seen = []
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(suites._RUNNERS, name, lambda rec, **knobs: seen.append(knobs["max_n"]))
+    for name in SUITE_NAMES:
+        with pytest.raises(SizeBoundError):
+            run_suite(name, max_n=SUITE_MAX_N + 1)
+        assert run_suite(name, max_n=SUITE_MAX_N).ok
+    assert seen == [SUITE_MAX_N] * len(SUITE_NAMES)
 
 
 @pytest.mark.slow
