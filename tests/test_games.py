@@ -502,8 +502,8 @@ def test_bounded_memo_gives_the_same_reports(monkeypatch):
 
 
 def test_the_solver_never_calls_the_validating_constructor(monkeypatch):
-    # Every child is built from the parent's masks, so the solves and the
-    # traced graphs.Graph count cost nothing per state.
+    # Every child is built from its parent's masks, so neither a solve's time
+    # nor the traced graphs.Graph count grows with the states it makes.
     root, favorable = gen_chain(5), gen_favorable(5)
     built = []
     init = Graph.__init__

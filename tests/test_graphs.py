@@ -220,9 +220,9 @@ def test_vertex_and_edge_lists_are_sorted():
 
 
 def test_labels_with_one_str_sort_alike_from_every_input_order():
-    # None and "None" (and True and "True", 2.5 and "2.5") tie on str; the
-    # order of a frozenset of them, and so a universe's, varied with
-    # PYTHONHASHSEED until ties broke by type name, then by repr.
+    # None and "None" (and True and "True", 2.5 and "2.5") tie on str.  A
+    # universe sorts a frozenset, whose order depends on PYTHONHASHSEED, so
+    # the sort key itself must order them.
     labels = [None, "None", True, "True", 2.5, "2.5"]
     orders = {tuple(sorted(p, key=label_key)) for p in permutations(labels)}
     assert orders == {(2.5, "2.5", None, "None", True, "True")}
