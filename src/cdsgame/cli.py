@@ -264,6 +264,7 @@ def _cmd_verify(args):
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     suites = []
     timing = {}
+    phases = {}
     for name in names:
         result = run_suite(name, seed=args.seed, max_n=args.max_n,
                            max_m=args.max_m, samples=args.samples,
@@ -276,9 +277,11 @@ def _cmd_verify(args):
             "ok": result.ok,
         })
         timing[name] = result.elapsed
+        phases[name] = result.phases
     ok = all(s["ok"] for s in suites)
     doc = {"suites": suites, "ok": ok,
-           "timing": {"seconds": sum(timing.values()), "per_suite": timing}}
+           "timing": {"seconds": sum(timing.values()), "per_suite": timing,
+                      "per_phase": phases}}
     return doc, 0 if ok else 3
 
 

@@ -53,10 +53,10 @@ from .graphs import Graph, Position
 from .permutations import (
     Permutation,
     SizeBoundError,
+    _move_list,
     apply_cds,
     fixed_point_code,
     is_fixed_point,
-    legal_moves,
 )
 from .record import Record
 
@@ -356,11 +356,7 @@ def _successor_memo(moves_of, key_of=None):
     return lookup
 
 
-def _cds_moves(perm: Permutation) -> list:
-    return sorted(legal_moves(perm))
-
-
-_cds_successors = _successor_memo(_cds_moves)
+_cds_successors = _successor_memo(_move_list)
 _gcds_successors = _successor_memo(Graph.edge_list, Graph.memo_key)
 _MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
 

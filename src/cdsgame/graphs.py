@@ -270,6 +270,13 @@ def _fill(g: Graph, alive: int, rows: tuple, universe: "_Universe") -> Graph:
     return g
 
 
+def _from_rows(vertices: Collection[Label], rows: list) -> Graph:
+    """The graph on ``vertices`` whose i-th vertex in ``label_key`` order
+    has the neighbour mask ``rows[i]``.  The rows must be symmetric and
+    loop-free; they are not checked."""
+    return _fill(_new(Graph), (1 << len(rows)) - 1, tuple(rows), _Universe(vertices))
+
+
 def _bits(mask: int):
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:

@@ -2,29 +2,36 @@
 
 The overlap graph of a permutation of {1..n} has one vertex per pointer code
 1..n-1 and an edge for every interlocking pair, so its edges are exactly the
-legal cds moves.  A cds move and the gcds pivot at the matching edge commute
-with taking overlap graphs; ``check_commutation`` tests one instance of that
-square.
+legal cds moves.  Both functions here work on the adjacency rows that one
+sweep over the word gives (permutations.py): bit k-1 of a row is pointer k.
+A cds move and the gcds pivot at the matching edge commute with taking
+overlap graphs; ``check_commutation`` tests one instance of that square on
+the rows.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, apply_gcds
-from .permutations import Permutation, apply_cds, legal_moves
+from .graphs import Graph, _from_rows, _pivot
+from .permutations import Permutation, _overlap_rows, apply_cds
 
 __all__ = ["overlap_graph", "check_commutation"]
 
 
 def overlap_graph(perm: Permutation) -> Graph:
     """The overlap graph on vertex codes 1..n-1 (edgeless when n <= 2)."""
-    return Graph(range(1, perm.n), legal_moves(perm))
+    return _from_rows(range(1, perm.n), _overlap_rows(perm.entries))
 
 
 def check_commutation(perm: Permutation, p: int, q: int) -> bool:
     """Does overlap(cds_{p,q}(perm)) equal gcds(overlap(perm), {p, q})?
 
-    Compares labelled graphs for exact equality.
+    Compares adjacency rows over the vertex codes 1..n-1: the parent's
+    rows pivoted at {p, q} (graphs._pivot) against the child's rows, which
+    is exact equality of the two labelled graphs.  ``apply_cds`` validates
+    p and q first, so a pair that does not interlock raises
+    NotApplicableError.
     """
-    after_cds = overlap_graph(apply_cds(perm, p, q))
-    after_gcds = apply_gcds(overlap_graph(perm), (p, q))
-    return after_cds == after_gcds
+    child = apply_cds(perm, p, q)
+    rows = _overlap_rows(perm.entries)
+    _pivot(rows, p - 1, q - 1)
+    return rows == _overlap_rows(child.entries)

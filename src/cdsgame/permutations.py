@@ -19,8 +19,10 @@ odd and tail slots even, so the 2(n-1) slots are distinct, and their order
 is the (position, side) order of :func:`pointer_occurrences`.  Two pointers
 interlock exactly when their intervals cross, so the cds moves are the
 edges of a circle graph (Gavril 1973), the overlap graph of the word.
-:func:`legal_moves` lists them in one left-to-right sweep over the slots,
-and :func:`apply_cds` is one block swap: the four slots of p and q cut the
+One left-to-right sweep over the slots gives that graph as adjacency rows,
+one bit mask per pointer; :func:`legal_moves` reads its pairs off the rows,
+and overlap.py builds its graphs and checks its squares on them.
+:func:`apply_cds` is one block swap: the four slots of p and q cut the
 word into five blocks, and the second and fourth trade places.
 :func:`interlocks` and :func:`pointer_occurrences` stay as the pairwise
 reference.
@@ -232,30 +234,67 @@ def interlocks(perm: Permutation, p: int, q: int) -> bool:
     return owners[0] == owners[2] and owners[0] != owners[1]
 
 
+def _overlap_rows(entries: tuple[int, ...]) -> list[int]:
+    """The overlap graph of the word ``entries`` as adjacency rows: bit q-1
+    of ``rows[p-1]`` is set exactly when pointers p and q interlock.
+
+    One sweep: reading the word left to right visits the slots in order, the
+    entry v carrying the tail-left slot of pointer v-1, then the head-right
+    slot of pointer v.  ``opened`` is the mask of the pointers with one slot
+    passed.  A pointer's row is ``opened`` as its first slot found it, XORed
+    with ``opened`` as its second slot leaves it: the pointers whose state
+    changed in between are those with exactly one slot inside its interval,
+    which are the pointers it crosses.
+    """
+    n = len(entries)
+    rows = [0] * (n - 1)
+    opened = 0
+    for v in entries:
+        if v > 1:  # the tail-left slot of pointer v-1
+            bit = 1 << (v - 2)
+            if opened & bit:
+                opened ^= bit
+                rows[v - 2] ^= opened
+            else:
+                rows[v - 2] = opened
+                opened |= bit
+        if v < n:  # the head-right slot of pointer v
+            bit = 1 << (v - 1)
+            if opened & bit:
+                opened ^= bit
+                rows[v - 1] ^= opened
+            else:
+                rows[v - 1] = opened
+                opened |= bit
+    return rows
+
+
+def _move_list(perm: Permutation) -> list[tuple[int, int]]:
+    """The legal moves in sorted order, read off the overlap rows.
+
+    The list is allocated at its final size, because the solvers' successor
+    memo keeps one per state.
+    """
+    rows = _overlap_rows(perm.entries)
+    moves: list = [None] * (sum(map(int.bit_count, rows)) >> 1)
+    i = 0
+    for p, row in enumerate(rows, 1):
+        up = row >> p  # bit j is pointer p + 1 + j
+        while up:
+            low = up & -up
+            up ^= low
+            moves[i] = (p, p + low.bit_length())
+            i += 1
+    return moves
+
+
 def legal_moves(perm: Permutation) -> set[tuple[int, int]]:
     """All unordered interlocking pointer pairs, as tuples (p, q) with p < q.
 
-    The pairs of crossing slot intervals, found in one sweep: reading the
-    word left to right visits the slots in order, the entry v carrying the
-    tail-left slot of pointer v-1, then the head-right slot of pointer v.
-    When a pointer's second slot is reached, the pointers opened after its
-    first slot and still open are exactly those it crosses.
+    The pairs are read off the overlap graph's adjacency rows, which one
+    left-to-right sweep over the slots gives (see ``_overlap_rows``).
     """
-    n = perm.n
-    moves: set[tuple[int, int]] = set()
-    add = moves.add
-    opened: list[int] = []  # pointers with one slot passed, in order of that slot
-    for v in perm.entries:
-        for k in (v - 1, v):
-            if 0 < k < n:
-                if k in opened:
-                    i = opened.index(k)
-                    for q in opened[i + 1:]:
-                        add((k, q) if k < q else (q, k))
-                    del opened[i]
-                else:
-                    opened.append(k)
-    return moves
+    return set(_move_list(perm))
 
 
 def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:

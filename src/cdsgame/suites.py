@@ -63,6 +63,7 @@ from .permutations import (
     TAIL_LEFT,
     Permutation,
     SizeBoundError,
+    _move_list,
     apply_cds,
     fixed_point_code,
     identity,
@@ -77,23 +78,30 @@ __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all"]
 
 
 class SuiteResult:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite.
 
-    __slots__ = ("name", "cases", "failures", "notes", "elapsed")
+    ``elapsed`` is the suite's wall time in seconds, and ``phases`` the
+    wall seconds of each named phase the suite times (empty when it times
+    none).
+    """
+
+    __slots__ = ("name", "cases", "failures", "notes", "elapsed", "phases")
 
     name: str
     cases: int
     failures: list[str]
     notes: list[str]
     elapsed: float
+    phases: dict[str, float]
 
     def __init__(self, name: str, cases: int, failures: list[str], notes: list[str],
-                 elapsed: float) -> None:
+                 elapsed: float, phases: dict[str, float]) -> None:
         self.name = name
         self.cases = cases
         self.failures = failures
         self.notes = notes
         self.elapsed = elapsed
+        self.phases = phases
 
     @property
     def ok(self) -> bool:
@@ -101,12 +109,13 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Accumulates case counts, failures, and free-form notes."""
+    """Accumulates case counts, failures, free-form notes and phase times."""
 
     def __init__(self) -> None:
         self.cases = 0
         self.failures: list[str] = []
         self.notes: list[str] = []
+        self.phases: dict[str, float] = {}  # wall seconds of each timed phase
 
     def check(self, ok: bool, describe) -> None:
         self.cases += 1
@@ -335,30 +344,34 @@ def _commutation_worker(chunk):
 def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
     lim = 6 if max_n is None else max_n
     squares = 0
+    start = time.perf_counter()
     for n in range(2, lim + 1):
         for word in all_words(range(1, n + 1)):
             perm = Permutation(word)
-            for p, q in sorted(legal_moves(perm)):
+            for p, q in _move_list(perm):
                 squares += 1
                 rec.check(
                     check_commutation(perm, p, q),
                     lambda w=word, pp=p, qq=q: f"commutation fails at perm={list(w)} move=({pp},{qq})",
                 )
+    rec.phases["exhaustive"] = time.perf_counter() - start
     rec.note(f"exhaustive: {squares} permutation/move squares with n <= {lim}")
 
     count = 10_000 if samples is None else samples
     rng = random.Random(seed)
     payload = []
+    start = time.perf_counter()
     for _ in range(count):
         n = rng.choice((8, 9, 10))
         word = list(range(1, n + 1))
         rng.shuffle(word)
-        moves = sorted(legal_moves(Permutation(word)))
+        moves = _move_list(Permutation(word))
         if not moves:
             continue
         payload.append((tuple(word), *moves[rng.randrange(len(moves))]))
     for checked, failures in _fan_out(_commutation_worker, payload, threads):
         rec.bulk(checked, failures)
+    rec.phases["sampled"] = time.perf_counter() - start
     rec.note(f"sampled: {len(payload)} random squares at n in 8..10, seed {seed}")
 
 
@@ -379,7 +392,7 @@ def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
             perm = Permutation(word)
             before = strategic_pile(perm).as_set()
             dropped: set[int] = set()
-            for p, q in sorted(legal_moves(perm)):
+            for p, q in _move_list(perm):
                 after = strategic_pile(apply_cds(perm, p, q)).as_set()
                 dropped.update(c for c in (p, q) if c not in after)
                 removed = len(before - after)
@@ -750,7 +763,8 @@ def run_suite(
     rec = _Recorder()
     start = time.perf_counter()
     _RUNNERS[name](rec, seed=seed, max_n=max_n, max_m=max_m, samples=samples, threads=threads)
-    return SuiteResult(name, rec.cases, rec.failures, rec.notes, time.perf_counter() - start)
+    return SuiteResult(name, rec.cases, rec.failures, rec.notes, time.perf_counter() - start,
+                       rec.phases)
 
 
 def run_all(**knobs) -> list[SuiteResult]:

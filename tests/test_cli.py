@@ -280,6 +280,17 @@ def test_verify_output_is_deterministic(capsys):
     assert doc1 == doc2
 
 
+def test_verify_reports_time_per_phase(capsys):
+    code, doc = run_cli(capsys, "verify", "all", "--max-n", "3", "--samples", "20")
+    assert code == 3  # chain-collapse stays red
+    timing = doc["timing"]
+    assert sorted(timing["per_phase"]) == sorted(timing["per_suite"]) == sorted(cdsgame.SUITE_NAMES)
+    assert sorted(timing["per_phase"]["commutation"]) == ["exhaustive", "sampled"]
+    assert all(t >= 0 for t in timing["per_phase"]["commutation"].values())
+    assert all(not timing["per_phase"][name] for name in cdsgame.SUITE_NAMES
+               if name != "commutation")
+
+
 def test_pretty_flag(capsys):
     code = main(["gen", "chain", "--m", "1", "--pretty"])
     out = capsys.readouterr().out

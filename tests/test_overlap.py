@@ -4,9 +4,18 @@ from itertools import permutations as all_words
 
 import random
 
-from cdsgame.graphs import Graph
+import pytest
+
+from cdsgame.graphs import Graph, apply_gcds
+from cdsgame.jsonio import graph_to_doc
 from cdsgame.overlap import check_commutation, overlap_graph
-from cdsgame.permutations import Permutation, apply_cds, identity, legal_moves
+from cdsgame.permutations import (
+    NotApplicableError,
+    Permutation,
+    apply_cds,
+    identity,
+    legal_moves,
+)
 
 
 def test_overlap_graph_fixture():
@@ -23,10 +32,18 @@ def test_overlap_vertices_are_all_pointer_codes():
 
 
 def test_overlap_edges_are_the_legal_moves():
-    for word in all_words(range(1, 6)):
-        perm = Permutation(word)
-        g = overlap_graph(perm)
-        assert {tuple(sorted(e)) for e in g.edges} == legal_moves(perm)
+    # The graph built from the rows is the one the validating constructor
+    # builds from the legal moves, in every view the package reads.
+    for n in range(1, 7):
+        for word in all_words(range(1, n + 1)):
+            perm = Permutation(word)
+            g = overlap_graph(perm)
+            ref = Graph(range(1, n), legal_moves(perm))
+            assert {tuple(sorted(e)) for e in g.edges} == legal_moves(perm)
+            assert g == ref and ref == g and hash(g) == hash(ref)
+            assert g.key_text() == ref.key_text()
+            assert g.edge_list() == ref.edge_list()
+            assert graph_to_doc(g) == graph_to_doc(ref)
 
 
 def test_fixed_points_have_edgeless_overlap_graphs():
@@ -41,14 +58,23 @@ def test_fixed_points_have_edgeless_overlap_graphs():
 def test_commutation_on_the_worked_example():
     beta = Permutation([3, 6, 5, 2, 4, 8, 1, 7])
     assert check_commutation(beta, 3, 6)
+    # The cds move validates the pair before any rows are pivoted.
+    with pytest.raises(NotApplicableError):
+        check_commutation(Permutation([3, 1, 4, 2, 5]), 1, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        check_commutation(beta, 3, 8)
 
 
 def test_commutation_exhaustive_small():
-    for n in range(2, 6):
+    # The row-level square agrees with the square of labelled graphs.
+    for n in range(2, 7):
         for word in all_words(range(1, n + 1)):
             perm = Permutation(word)
             for p, q in legal_moves(perm):
-                assert check_commutation(perm, p, q)
+                graphs_commute = overlap_graph(apply_cds(perm, p, q)) == apply_gcds(
+                    overlap_graph(perm), (p, q))
+                assert check_commutation(perm, p, q) == graphs_commute
+                assert graphs_commute
 
 
 def test_commutation_sampled_larger():
@@ -65,8 +91,6 @@ def test_commutation_sampled_larger():
         assert check_commutation(perm, p, q)
         # Spelled out: the overlap graph of the swapped permutation is the
         # pivoted overlap graph.
-        from cdsgame.graphs import apply_gcds
-
         assert overlap_graph(apply_cds(perm, p, q)) == apply_gcds(
             overlap_graph(perm), (p, q)
         )

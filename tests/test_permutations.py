@@ -15,6 +15,8 @@ from cdsgame.permutations import (
     NotApplicableError,
     ParseError,
     Permutation,
+    _move_list,
+    _overlap_rows,
     apply_cds,
     fixed_point_code,
     identity,
@@ -247,13 +249,21 @@ def _outcome(move, *args):
 
 
 def _assert_fast_path_matches_reference(perm, both_orders=True):
-    """legal_moves and apply_cds agree with the reference on every pointer pair.
+    """The overlap rows, the move lists and apply_cds agree with the reference
+    on every pointer pair.
 
-    Without ``both_orders`` each pair is tried once, as (p, q) with p <= q.
+    The rows must set bit q-1 of row p-1 exactly when p and q interlock,
+    which also makes them symmetric and loop-free.  Without ``both_orders``
+    each pair is tried once, as (p, q) with p <= q.
     """
     n = perm.n
-    pairs = [(p, q) for p in range(1, n) for q in range(p + 1, n)]
-    assert legal_moves(perm) == {(p, q) for p, q in pairs if interlocks(perm, p, q)}
+    crossing = {(p, q) for p in range(1, n) for q in range(p + 1, n) if interlocks(perm, p, q)}
+    assert _overlap_rows(perm.entries) == [
+        sum(1 << (q - 1) for q in range(1, n) if (min(p, q), max(p, q)) in crossing)
+        for p in range(1, n)
+    ]
+    assert legal_moves(perm) == crossing
+    assert _move_list(perm) == sorted(crossing)
     for p in range(1, n):
         for q in range(1 if both_orders else p, n):
             assert _outcome(apply_cds, perm, p, q) == _outcome(_reference_apply_cds, perm, p, q)

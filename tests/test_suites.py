@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import time
 
 import pytest
 
@@ -45,6 +46,23 @@ def test_commutation_suite_is_deterministic():
     assert a.ok and b.ok
     assert a.cases == b.cases
     assert a.notes == b.notes
+
+
+def test_commutation_times_its_two_phases(monkeypatch):
+    # The sampled phase takes in the fan-out; a suite that times no phase
+    # reports none.
+    fan_out = suites._fan_out
+
+    def slow_fan_out(*args):
+        time.sleep(0.05)
+        return fan_out(*args)
+
+    monkeypatch.setattr(suites, "_fan_out", slow_fan_out)
+    result = run_suite("commutation", max_n=4, samples=60, seed=3)
+    assert list(result.phases) == ["exhaustive", "sampled"]
+    assert result.phases["exhaustive"] >= 0 and result.phases["sampled"] >= 0.05
+    assert sum(result.phases.values()) <= result.elapsed
+    assert run_suite("formats").phases == {}
 
 
 @pytest.mark.parametrize("cpus, items, workers", [(2, 50, 2), (8, 3, 3), (None, 50, None)])
