@@ -301,9 +301,16 @@ def _cmd_play(args):
     if args.perm is not None:
         root = _cds_state(args, ONE)
         state, game, name = root.perm, CdsGame(root.favorable), "cds"
+
+        def solve(perm, mover):
+            return solve_cds(CdsState(perm, root.favorable, mover), cache)
     else:
         root = _position(args)
         state, game, name = root.graph, GcdsGame(root.favorable), "gcds"
+
+        def solve(graph, mover):
+            position = Position(graph, root.favorable & graph.vertices)
+            return solve_gcds(GcdsState(position, mover), cache)
 
     transcript = []
     mover = ONE
@@ -317,11 +324,11 @@ def _cmd_play(args):
             i = rendered.index(choice)
             move, after = moves[i], successor(game, state, entry, i)
         else:
-            report = game.solve(state, mover, cache)
+            report = solve(state, mover)
             move = report.principal_variation[0]
             after = successor(game, state, entry, moves.index(move))
             if report.winner == mover:
-                check = game.solve(after, opponent(mover), cache)
+                check = solve(after, opponent(mover))
                 assert check.winner == mover, "engine left a won game"
             print(f"engine plays {move[0]},{move[1]}", file=sys.stderr)
         transcript.append({"mover": mover, "move": move_to_doc(move)})
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = perm.add_parser("fixedpoints", parents=[shared],
                         help="reachable fixed-point codes")
     p.add_argument("--perm", required=True)
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=parse_decimal, default=None,
                    help="search size bound override")
     p.set_defaults(handler=_cmd_perm_fixedpoints)
 
@@ -414,17 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen = groups.add_parser("gen", help="named families").add_subparsers(
         dest="sub", required=True)
     p = gen.add_parser("chain", parents=[shared], help="triangle chain graph")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=parse_decimal, required=True)
     p.set_defaults(handler=_cmd_gen_chain)
     p = gen.add_parser("favorable", parents=[shared], help="chain favorable set")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=parse_decimal, required=True)
     p.set_defaults(handler=_cmd_gen_favorable)
     p = gen.add_parser("alpha", parents=[shared], help="tight permutation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_decimal, required=True)
     p.set_defaults(handler=_cmd_gen_alpha)
     p = gen.add_parser("tight", parents=[shared],
                        help="tight permutation with its favorable set")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_decimal, required=True)
     p.set_defaults(handler=_cmd_gen_tight)
 
     solve = groups.add_parser("solve", help="perfect-play solving").add_subparsers(
@@ -437,26 +444,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = solve.add_parser("gcds", parents=[solving], help="solve a graph game state")
     p.add_argument("--graph", required=True)
     p.add_argument("--first", choices=(ONE, TWO), default=ONE)
-    p.add_argument("--max-n", type=int, default=None, help="state size bound override")
+    p.add_argument("--max-n", type=parse_decimal, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_gcds)
     p = solve.add_parser("cds", parents=[solving], help="solve a permutation game state")
     p.add_argument("--perm", required=True)
     p.add_argument("--first", choices=(ONE, TWO), default=ONE)
-    p.add_argument("--max-n", type=int, default=None, help="state size bound override")
+    p.add_argument("--max-n", type=parse_decimal, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_cds)
     p = solve.add_parser("np", parents=[solving],
                          help="classify a position for both opening movers")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-n", type=int, default=None, help="state size bound override")
+    p.add_argument("--max-n", type=parse_decimal, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_np)
 
     p = groups.add_parser("verify", parents=[shared], help="run verification suites")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized blocks")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--seed", type=parse_decimal, default=0, help="seed for randomized blocks")
+    p.add_argument("--max-n", type=parse_decimal, default=None)
+    p.add_argument("--max-m", type=parse_decimal, default=None)
+    p.add_argument("--samples", type=parse_decimal, default=None)
+    p.add_argument("--threads", type=parse_decimal, default=1,
                    help="fan independent batch work across processes")
     p.set_defaults(handler=_cmd_verify)
 

@@ -18,30 +18,32 @@ supplies what the engine reads: ``key(state, mover)``, ``outcome(state)``
 successor-memo entry: its sorted move list and a list of the children made
 so far, each made by ``make(state, move)`` on first use, see
 :func:`successor`) and ``variant(state, depth)`` (a natural number every
-move lowers); its ``solve(perm_or_graph, mover, cache)`` is the
-size-checked public solver.  A gcds state is a graph: its vertices and
-adjacency rows are bit masks over the root graph's labels, and a move
-pivots them with mask operations into a child over the same labels,
-without the validating constructor (graphs.py).  A graph's key text is
-rendered from the bits once.  The gcds successor memo is keyed by that
-text, so roots with different label sets share entries where both label
-sets are plain (see graphs.py; other graphs are keyed by their bits and
-universe); its moves are label pairs, which ``make`` maps through the
-state's own universe.  The search builds only the children it visits, in
+move lowers).  A game's terminal rule is its ``outcome`` alone:
+:func:`cds_terminal_winner` and :func:`gcds_terminal_winner` call it, and
+:func:`solve_cds` and :func:`solve_gcds` are the size-checked public
+solvers.  A gcds state is a graph: its vertices and adjacency rows are bit
+masks over the root graph's labels, and a move pivots them with mask
+operations into a child over the same labels, without the validating
+constructor (graphs.py).  A graph's key text is rendered from the bits once,
+and the mask of a favorable set is kept, per set, on the universe that owns
+the bits; :func:`graph_state_key` reads both.  The gcds successor memo is
+keyed by that text, so roots with different label sets share entries where
+both label sets are plain (see graphs.py; other graphs are keyed by their
+bits and universe); its moves are label pairs, which ``make`` maps through
+the state's own universe.  The search builds only the children it visits, in
 move order, and stops at the first winning one.  Each of the two successor
 memos is shared by every solve in the process, and the cds memo also by
 :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the cds
 move graph through ``CdsGame.moves`` and :func:`successor`.  A memo charges
 each state its full fan-out and is emptied when a new state would take the
-charge past MEMO_CHILDREN (2**16), so it never holds more children than
-that or one state's fan-out; :func:`clear_memos` empties both memos and
-:func:`memo_stats` reports on them.  The search is negamax with
-memoisation over the exact labelled state; no symmetry reduction is
-applied, so cache keys are reproducible strings and can be persisted to
-disk and reloaded across runs.  The principal variation always plays the
-least winning move for the side to move (least move at all in lost
-positions), and every solve asserts that its terminal agrees with the
-reported winner.
+charge past MEMO_CHILDREN (2**16), so it never holds more children than that
+or one state's fan-out; :func:`clear_memos` empties both memos and
+:func:`memo_stats` reports on them.  The search is negamax with memoisation
+over the exact labelled state; no symmetry reduction is applied, so cache
+keys are reproducible strings and can be persisted to disk and reloaded
+across runs.  The principal variation always plays the least winning move
+for the side to move (least move at all in lost positions), and every solve
+asserts that its terminal agrees with the reported winner.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .permutations import (
     SizeBoundError,
     _move_list,
     apply_cds,
-    fixed_point_code,
     is_fixed_point,
 )
 from .record import Record
@@ -155,16 +156,11 @@ class NpReport(Record):
 # Canonical state keys and the persistent cache.
 
 def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
-    """``G|vertices|edges|favorable|mover``; favorable labels outside the
-    graph are left out."""
-    return _graph_key(graph, graph.universe.mask(favorable), mover)
-
-
-def _graph_key(graph: Graph, favorable: int, mover: str) -> str:
-    """The state key of a graph, rendered from its bits; ``favorable`` is
-    the favorable labels' mask over the graph's universe."""
+    """``G|vertices|edges|favorable|mover``, rendered from the graph's bits;
+    favorable labels outside the graph are left out."""
     text = graph.key_text()  # first, so a bad graph label is the one reported
-    fs = graph.universe.render(favorable & graph.alive)
+    universe = graph.universe
+    fs = universe.render(universe.mask(favorable) & graph.alive)
     return f"G|{text}|{fs}|{1 if mover == ONE else 2}"
 
 
@@ -286,17 +282,17 @@ def cache_load(path) -> SolveCache:
 # Terminal evaluation.
 
 def gcds_terminal_winner(position: Position) -> str:
-    if position.graph.n_edges():
+    winner = GcdsGame(position.favorable).outcome(position.graph)
+    if winner is None:
         raise ValueError("position still has edges; the gcds game is not over")
-    vs = position.graph.vertices
-    return ONE if vs and vs <= position.favorable else TWO
+    return winner
 
 
 def cds_terminal_winner(perm: Permutation, favorable: frozenset) -> str:
-    if not is_fixed_point(perm):
+    winner = CdsGame(favorable).outcome(perm)
+    if winner is None:
         raise ValueError("permutation still has moves; the cds game is not over")
-    code = fixed_point_code(perm)
-    return ONE if code is not None and code in favorable else TWO
+    return winner
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,10 @@ class CdsGame(Record):
         return perm_state_key(perm, self.favorable, mover)
 
     def outcome(self, perm: Permutation) -> str | None:
-        return cds_terminal_winner(perm, self.favorable) if is_fixed_point(perm) else None
+        if not is_fixed_point(perm):
+            return None
+        code = perm.entries[0] - 1  # the fixed point's code, 0 for the identity
+        return ONE if code and code in self.favorable else TWO
 
     moves = staticmethod(_cds_successors)
 
@@ -407,56 +406,23 @@ class CdsGame(Record):
     def variant(self, perm: Permutation, depth: int) -> int:
         return perm.n - depth  # game length never exceeds n
 
-    def solve(self, perm: Permutation, mover: str, cache: SolveCache | None = None):
-        return solve_cds(CdsState(perm, self.favorable, mover), cache)
 
-
-class GcdsGame:
+class GcdsGame(Record):
     """GCDS(G, A) with favorable vertices A; states are graphs, and a state
-    is judged on A & V.  The favorable set's mask is kept per universe the
-    game meets, so it lives as long as the game; games compare and hash by
-    A alone."""
+    is judged on A & V."""
 
-    __slots__ = ("favorable", "_masks")
+    __slots__ = ("favorable",)
 
     favorable: frozenset
 
-    def __init__(self, favorable: frozenset):
-        object.__setattr__(self, "favorable", favorable)
-        object.__setattr__(self, "_masks", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return GcdsGame, (self.favorable,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GcdsGame:
-            return NotImplemented
-        return self.favorable == other.favorable
-
-    def __hash__(self) -> int:
-        return hash((self.favorable,))
-
-    def __repr__(self) -> str:
-        return f"GcdsGame(favorable={self.favorable!r})"
-
-    def _favorable_mask(self, graph: Graph) -> int:
-        universe = graph.universe
-        found = self._masks.get(universe)
-        if found is None:
-            found = self._masks[universe] = universe.mask(self.favorable)
-        return found
-
     def key(self, graph: Graph, mover: str) -> str:
-        return _graph_key(graph, self._favorable_mask(graph), mover)
+        return graph_state_key(graph, self.favorable, mover)
 
     def outcome(self, graph: Graph) -> str | None:
         if any(graph.rows):
             return None
         alive = graph.alive
-        return ONE if alive and not alive & ~self._favorable_mask(graph) else TWO
+        return ONE if alive and not alive & ~graph.universe.mask(self.favorable) else TWO
 
     moves = staticmethod(_gcds_successors)
 
@@ -467,10 +433,6 @@ class GcdsGame:
     def variant(self, graph: Graph, depth: int) -> int:
         rows = graph.rows
         return len(rows) - rows.count(0)  # vertices with an edge; moves burn them
-
-    def solve(self, graph: Graph, mover: str, cache: SolveCache | None = None):
-        position = Position(graph, self.favorable & graph.vertices)
-        return solve_gcds(GcdsState(position, mover), cache)
 
 
 # ---------------------------------------------------------------------------

@@ -304,9 +304,13 @@ class _Universe:
     int's text.  A key string then names the same label in every plain
     universe, so graphs of two plain universes with the same key text are
     the same labelled graph.
+
+    The universe also keeps the mask of each label set it is asked for
+    (:meth:`mask`), so a set's mask holds for every graph over these bits,
+    whichever root or game first asked for it.
     """
 
-    __slots__ = ("labels", "index", "plain", "_names")
+    __slots__ = ("labels", "index", "plain", "_names", "_masks")
 
     def __init__(self, vertices: Collection[Label]):
         labels = sorted(vertices, key=label_key)
@@ -315,6 +319,7 @@ class _Universe:
         self.plain = all(type(v) is int or (type(v) is str and not _is_int_text(v))
                          for v in labels)
         self._names: tuple | None = None
+        self._masks: dict[frozenset, int] = {}
 
     @property
     def names(self) -> tuple:
@@ -329,13 +334,17 @@ class _Universe:
             names = self._names = tuple(s if _is_key_text(s) else None for s in texts)
         return names
 
-    def mask(self, labels: Iterable[Label]) -> int:
-        """The bits of those of ``labels`` that are in the universe."""
-        index, found = self.index, 0
-        for v in labels:
-            i = index.get(v)
-            if i is not None:
-                found |= 1 << i
+    def mask(self, labels: frozenset) -> int:
+        """The bits of those of ``labels`` that are in the universe, kept
+        per set: the solvers ask for one favorable set's mask at every node."""
+        found = self._masks.get(labels)
+        if found is None:
+            index, found = self.index, 0
+            for v in labels:
+                i = index.get(v)
+                if i is not None:
+                    found |= 1 << i
+            self._masks[labels] = found
         return found
 
     def labels_in(self, mask: int) -> frozenset:

@@ -78,11 +78,12 @@ __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all"]
 
 
 class SuiteResult:
-    """Outcome of one verification suite.
+    """Outcome of one verification suite, recorded on as the suite runs.
 
-    ``elapsed`` is the suite's wall time in seconds, and ``phases`` the
-    wall seconds of each named phase the suite times (empty when it times
-    none).
+    ``cases`` counts the checks made and ``failures`` describes those that
+    failed; ``elapsed`` is the suite's wall time in seconds, and ``phases``
+    the wall seconds of each named phase the suite times (empty when it
+    times none).
     """
 
     __slots__ = ("name", "cases", "failures", "notes", "elapsed", "phases")
@@ -94,28 +95,17 @@ class SuiteResult:
     elapsed: float
     phases: dict[str, float]
 
-    def __init__(self, name: str, cases: int, failures: list[str], notes: list[str],
-                 elapsed: float, phases: dict[str, float]) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.cases = cases
-        self.failures = failures
-        self.notes = notes
-        self.elapsed = elapsed
-        self.phases = phases
+        self.cases = 0
+        self.failures = []
+        self.notes = []
+        self.elapsed = 0.0
+        self.phases = {}
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-class _Recorder:
-    """Accumulates case counts, failures, free-form notes and phase times."""
-
-    def __init__(self) -> None:
-        self.cases = 0
-        self.failures: list[str] = []
-        self.notes: list[str] = []
-        self.phases: dict[str, float] = {}  # wall seconds of each timed phase
 
     def check(self, ok: bool, describe) -> None:
         self.cases += 1
@@ -760,11 +750,11 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if max_n is not None and max_n > SUITE_MAX_N:
         raise SizeBoundError(f"suites limited to max_n <= {SUITE_MAX_N}, got {max_n}")
-    rec = _Recorder()
+    result = SuiteResult(name)
     start = time.perf_counter()
-    _RUNNERS[name](rec, seed=seed, max_n=max_n, max_m=max_m, samples=samples, threads=threads)
-    return SuiteResult(name, rec.cases, rec.failures, rec.notes, time.perf_counter() - start,
-                       rec.phases)
+    _RUNNERS[name](result, seed=seed, max_n=max_n, max_m=max_m, samples=samples, threads=threads)
+    result.elapsed = time.perf_counter() - start
+    return result
 
 
 def run_all(**knobs) -> list[SuiteResult]:

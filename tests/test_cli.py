@@ -152,6 +152,11 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     assert code == 2
 
 
+# The integer options; argparse refuses a bad value of one itself, printing
+# its usage and exiting 2 before any document is written.
+INT_OPTIONS = ("--m", "--n", "--max-n", "--max-m", "--seed", "--samples", "--threads")
+
+
 @pytest.mark.parametrize("argv, token", [
     (["perm", "pile", "--perm", "２ １ ３"], "２"),
     (["perm", "pile", "--perm", "1 2 3 4 5 6 7 8 9 1_0"], "1_0"),
@@ -159,8 +164,25 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     (["perm", "apply", "--perm", "3 6 5 2 4 8 1 7", "--pair", "3,0_6"], "0_6"),
     (["solve", "cds", "--perm", "2 4 1 3", "--favorable", "١"], "١"),
     (["solve", "cds", "--perm", "2 4 1 3", "--favorable", "1,0_2"], "0_2"),
+    (["gen", "chain", "--m", "1_0"], "1_0"),
+    (["gen", "favorable", "--m", "٣"], "٣"),
+    (["gen", "alpha", "--n", "１２"], "１２"),
+    (["gen", "tight", "--n", "1_2"], "1_2"),
+    (["perm", "fixedpoints", "--perm", "2 4 1 3", "--max-n", "٥"], "٥"),
+    (["solve", "cds", "--perm", "2 4 1 3", "--favorable", "", "--max-n", "1_0"], "1_0"),
+    (["verify", "formats", "--seed", "0_1"], "0_1"),
+    (["verify", "formats", "--max-m", "٢"], "٢"),
+    (["verify", "formats", "--samples", "1_0"], "1_0"),
+    (["verify", "formats", "--threads", "２"], "２"),
 ])
 def test_integers_are_read_as_ascii_decimals(capsys, argv, token):
+    if argv[-2] in INT_OPTIONS:
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exited.value.code == 2
+        assert f"argument {argv[-2]}" in err and token in err
+        return
     code, doc = run_cli(capsys, *argv)
     assert code == 2
     assert doc["error"]["type"] == "ParseError"

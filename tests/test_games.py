@@ -478,6 +478,31 @@ def test_every_cache_info_of_games_reads_as_four_ints():
     assert found == 2
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.mark.parametrize("key_name, run", [
+    ("games.graph_state_key", lambda: games.np_status(Position(gen_chain(3), gen_favorable(3)))),
+    ("games.perm_state_key", lambda: games.solve_cds(CdsState(*tight_instance(8), ONE))),
+])
+def test_the_tracer_sees_one_state_key_per_visit(monkeypatch, key_name, run):
+    # perfbench reads a solve's key time off these spans, so every state the
+    # engine visits (expanded or found in the cache) must be keyed through
+    # the public key function the tracer wraps.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    rec = tracer.Recorder()
+    patches = tracer.install(rec)
+    try:
+        run()
+    finally:
+        tracer.uninstall(patches)
+    visits = rec.counters["games.nodes_expanded"] + rec.counters["games.cache_hits"]
+    assert visits > 0
+    assert rec.summarize().get(key_name, {"calls": 0})["calls"] == visits
+
+
 def test_bounded_memo_gives_the_same_reports(monkeypatch):
     clear_memos()
     expected = list(_pinned_solves())
@@ -493,7 +518,7 @@ def test_bounded_memo_gives_the_same_reports(monkeypatch):
 
     monkeypatch.setattr(games, "MEMO_CHILDREN", bound)
     monkeypatch.setattr(games, "perm_state_key", watch(games.perm_state_key))
-    monkeypatch.setattr(games, "_graph_key", watch(games._graph_key))
+    monkeypatch.setattr(games, "graph_state_key", watch(games.graph_state_key))
     clear_memos()
     assert list(_pinned_solves()) == expected
     assert max(held) <= bound + fan_out[0]
