@@ -75,6 +75,12 @@ from .suites import SUITE_NAMES, run_suite
 __all__ = ["build_parser", "main"]
 
 
+def integer(text: str) -> int:
+    """:func:`parse_decimal` for argparse, which names the type function when
+    it refuses a value: ``invalid integer value: '1_0'``."""
+    return parse_decimal(text)
+
+
 def _split_csv(text: str) -> list[str]:
     return [part for part in (text or "").split(",") if part != ""]
 
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = perm.add_parser("fixedpoints", parents=[shared],
                         help="reachable fixed-point codes")
     p.add_argument("--perm", required=True)
-    p.add_argument("--max-n", type=parse_decimal, default=None,
+    p.add_argument("--max-n", type=integer, default=None,
                    help="search size bound override")
     p.set_defaults(handler=_cmd_perm_fixedpoints)
 
@@ -421,17 +427,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen = groups.add_parser("gen", help="named families").add_subparsers(
         dest="sub", required=True)
     p = gen.add_parser("chain", parents=[shared], help="triangle chain graph")
-    p.add_argument("--m", type=parse_decimal, required=True)
+    p.add_argument("--m", type=integer, required=True)
     p.set_defaults(handler=_cmd_gen_chain)
     p = gen.add_parser("favorable", parents=[shared], help="chain favorable set")
-    p.add_argument("--m", type=parse_decimal, required=True)
+    p.add_argument("--m", type=integer, required=True)
     p.set_defaults(handler=_cmd_gen_favorable)
     p = gen.add_parser("alpha", parents=[shared], help="tight permutation")
-    p.add_argument("--n", type=parse_decimal, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(handler=_cmd_gen_alpha)
     p = gen.add_parser("tight", parents=[shared],
                        help="tight permutation with its favorable set")
-    p.add_argument("--n", type=parse_decimal, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(handler=_cmd_gen_tight)
 
     solve = groups.add_parser("solve", help="perfect-play solving").add_subparsers(
@@ -444,27 +450,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = solve.add_parser("gcds", parents=[solving], help="solve a graph game state")
     p.add_argument("--graph", required=True)
     p.add_argument("--first", choices=(ONE, TWO), default=ONE)
-    p.add_argument("--max-n", type=parse_decimal, default=None, help="state size bound override")
+    p.add_argument("--max-n", type=integer, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_gcds)
     p = solve.add_parser("cds", parents=[solving], help="solve a permutation game state")
     p.add_argument("--perm", required=True)
     p.add_argument("--first", choices=(ONE, TWO), default=ONE)
-    p.add_argument("--max-n", type=parse_decimal, default=None, help="state size bound override")
+    p.add_argument("--max-n", type=integer, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_cds)
     p = solve.add_parser("np", parents=[solving],
                          help="classify a position for both opening movers")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-n", type=parse_decimal, default=None, help="state size bound override")
+    p.add_argument("--max-n", type=integer, default=None, help="state size bound override")
     p.set_defaults(handler=_cmd_solve_np)
 
     p = groups.add_parser("verify", parents=[shared], help="run verification suites")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=parse_decimal, default=0, help="seed for randomized blocks")
-    p.add_argument("--max-n", type=parse_decimal, default=None)
-    p.add_argument("--max-m", type=parse_decimal, default=None)
-    p.add_argument("--samples", type=parse_decimal, default=None)
-    p.add_argument("--threads", type=parse_decimal, default=1,
-                   help="fan independent batch work across processes")
+    p.add_argument("--seed", type=integer, default=0, help="seed for randomized blocks")
+    p.add_argument("--max-n", type=integer, default=None)
+    p.add_argument("--max-m", type=integer, default=None)
+    p.add_argument("--samples", type=integer, default=None)
+    p.add_argument("--threads", type=integer, default=1,
+                   help="processes for the commutation suite's sampled squares")
     p.set_defaults(handler=_cmd_verify)
 
     p = groups.add_parser("play", parents=[solving],

@@ -22,8 +22,9 @@ edges of a circle graph (Gavril 1973), the overlap graph of the word.
 One left-to-right sweep over the slots gives that graph as adjacency rows,
 one bit mask per pointer; :func:`legal_moves` reads its pairs off the rows,
 and overlap.py builds its graphs and checks its squares on them.
-:func:`apply_cds` is one block swap: the four slots of p and q cut the
-word into five blocks, and the second and fourth trade places.
+:func:`apply_cds` is one block swap (``_swap``, which works on the bare
+entry tuple): the four slots of p and q cut the word into five blocks, and
+the second and fourth trade places.
 :func:`interlocks` and :func:`pointer_occurrences` stay as the pairwise
 reference.
 
@@ -269,21 +270,38 @@ def _overlap_rows(entries: tuple[int, ...]) -> list[int]:
     return rows
 
 
+# Per pointer count m <= 64, row p of _PAIRS[m] holds the move (p, p + j) at
+# index j: the move lists of words of one length share one tuple per move.
+_PAIRS: dict[int, tuple] = {}
+
+
+def _pairs(m: int) -> tuple:
+    rows = _PAIRS.get(m)
+    if rows is None:
+        rows = tuple(tuple((p, p + j) for j in range(m - p + 1)) for p in range(m + 1))
+        if m <= 64:
+            _PAIRS[m] = rows
+    return rows
+
+
 def _move_list(perm: Permutation) -> list[tuple[int, int]]:
     """The legal moves in sorted order, read off the overlap rows.
 
-    The list is allocated at its final size, because the solvers' successor
-    memo keeps one per state.
+    The list is allocated at its final size and its moves are the shared
+    tuples of ``_pairs``, because the solvers' successor memo keeps one list
+    per state.
     """
     rows = _overlap_rows(perm.entries)
+    pairs = _pairs(len(rows))
     moves: list = [None] * (sum(map(int.bit_count, rows)) >> 1)
     i = 0
     for p, row in enumerate(rows, 1):
         up = row >> p  # bit j is pointer p + 1 + j
+        pair = pairs[p]
         while up:
             low = up & -up
             up ^= low
-            moves[i] = (p, p + low.bit_length())
+            moves[i] = pair[low.bit_length()]
             i += 1
     return moves
 
@@ -297,39 +315,49 @@ def legal_moves(perm: Permutation) -> set[tuple[int, int]]:
     return set(_move_list(perm))
 
 
-def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
-    """Apply the cds move indexed by the interlocking pair {p, q}.
+def _swap(e: tuple[int, ...], p: int, q: int) -> tuple[int, ...] | None:
+    """The word ``e`` after the block swap at pointers p and q, or None when
+    they do not interlock.
 
     The four occurrences of p and q, at slots s1 < s2 < s3 < s4, cut the
     word: slot s is the cut just before the entry at 0-based index
-    ``(s - 1) >> 1``.  The move swaps the block between the first two cuts
+    ``(s - 1) >> 1``.  The swap trades the block between the first two cuts
     with the block between the last two, the block between them staying in
     the middle:
 
         e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:]
+    """
+    index = e.index
+    # Each pointer's slot interval, head-right 2·pos(k)+1 and tail-left
+    # 2·pos(k+1), with 1-based positions; the one opening first is (s1, s3).
+    head, tail = 2 * index(p) + 3, 2 * index(p + 1) + 2
+    first = (head, tail) if head < tail else (tail, head)
+    head, tail = 2 * index(q) + 3, 2 * index(q + 1) + 2
+    second = (head, tail) if head < tail else (tail, head)
+    if second < first:
+        first, second = second, first
+    (s1, s3), (s2, s4) = first, second
+    if not s1 < s2 < s3 < s4:
+        return None
+    c1, c2, c3, c4 = (s1 - 1) >> 1, (s2 - 1) >> 1, (s3 - 1) >> 1, (s4 - 1) >> 1
+    return e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:]
+
+
+def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
+    """Apply the cds move indexed by the interlocking pair {p, q}: the block
+    swap of ``_swap``, after checking both pointers and that they interlock.
 
     After the move each of the two pointers has its values adjacent and in
     order, so neither pointer interlocks with anything again.
     """
     _check_pointer(perm, p)
     _check_pointer(perm, q)
-    e = perm.entries
-    n = len(e)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(e, 1):
-        pos[v] = i
-    # Each pointer's slot interval, the one opening first as (s1, s3).
-    first = sorted((2 * pos[p] + 1, 2 * pos[p + 1]))
-    second = sorted((2 * pos[q] + 1, 2 * pos[q + 1]))
-    if second < first:
-        first, second = second, first
-    (s1, s3), (s2, s4) = first, second
-    if not s1 < s2 < s3 < s4:
+    swapped = _swap(perm.entries, p, q)
+    if swapped is None:
         raise NotApplicableError(
-            f"pointers {p} and {q} do not interlock in {list(e)}"
+            f"pointers {p} and {q} do not interlock in {list(perm.entries)}"
         )
-    c1, c2, c3, c4 = (s1 - 1) >> 1, (s2 - 1) >> 1, (s3 - 1) >> 1, (s4 - 1) >> 1
-    return Permutation(e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:])
+    return Permutation(swapped)
 
 
 def is_fixed_point(perm: Permutation) -> bool:

@@ -16,6 +16,7 @@ import os
 import random
 import time
 from itertools import combinations, permutations as all_words
+from math import comb
 
 from .cyclegraph import (
     achievable_fixed_points,
@@ -37,7 +38,9 @@ from .games import (
     ONE,
     TWO,
     CacheFormatError,
+    CdsGame,
     CdsState,
+    GcdsGame,
     GcdsState,
     SolveCache,
     cache_load,
@@ -46,6 +49,7 @@ from .games import (
     np_status,
     solve_cds,
     solve_gcds,
+    winning_sets,
 )
 from .graphs import (
     Graph,
@@ -64,6 +68,7 @@ from .permutations import (
     Permutation,
     SizeBoundError,
     _move_list,
+    _swap,
     apply_cds,
     fixed_point_code,
     identity,
@@ -370,49 +375,93 @@ def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
 # per-move removal bound.
 # ---------------------------------------------------------------------------
 
+def _rank(word: tuple[int, ...]) -> int:
+    """The lexicographic rank of a word over 1..n among all such words:
+    digit i of its Lehmer code counts the smaller values after entry i."""
+    rank, left = 0, len(word)
+    unused = (1 << (left + 1)) - 2  # bits 1..n
+    for v in word:
+        bit = 1 << v
+        rank = rank * left + (unused & (bit - 1)).bit_count()
+        unused ^= bit
+        left -= 1
+    return rank
+
+
+def _pile_table(n: int) -> bytearray:
+    """The pile of every word of length n <= 9 as a mask (bit c-1 for code
+    c), at the word's lexicographic rank: ``all_words`` yields rank order."""
+    assert n <= 9, "a byte holds the codes 1..8"
+    table = bytearray()
+    for word in all_words(range(1, n + 1)):
+        mask = 0
+        for c in strategic_pile(Permutation(word)):
+            mask |= 1 << (c - 1)
+        table.append(mask)
+    return table
+
+
+def _codes(mask: int) -> frozenset[int]:
+    return frozenset(c for c in range(1, mask.bit_length() + 1) if mask >> (c - 1) & 1)
+
+
 def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
-    # One pass over n <= lim + 1.  Each legal move's after-pile serves the
-    # per-move bound and, at n <= lim, removability: apply_cds is symmetric
-    # in p and q, so "some legal move at c drops c" reads off the same piles.
+    # Per length n <= lim + 1, a table of every word's pile.  The fixed-point
+    # searches at n <= lim read the pile off it, and run before the table at
+    # n = lim + 1, the largest, is made, so that it never sits beside their
+    # memos.  A move's after-pile is the table entry of the block-swapped
+    # word; it serves the per-move bound and, at n <= lim, removability: the
+    # swap is symmetric in p and q, so "some legal move at c drops c" reads
+    # off the same piles.
     lim = 6 if max_n is None else max_n
-    worst = 0
-    added_events = 0
-    for n in range(1, lim + 2):
-        for word in all_words(range(1, n + 1)):
-            perm = Permutation(word)
-            before = strategic_pile(perm).as_set()
-            dropped: set[int] = set()
-            for p, q in _move_list(perm):
-                after = strategic_pile(apply_cds(perm, p, q)).as_set()
-                dropped.update(c for c in (p, q) if c not in after)
-                removed = len(before - after)
-                worst = max(worst, removed)
-                if after - before:
-                    added_events += 1
-                rec.check(
-                    removed <= 2,
-                    lambda w=word, pp=p, qq=q, r=removed:
-                    f"move ({pp},{qq}) on {list(w)} removed {r} pile codes",
-                )
-            if n > lim:
-                continue
-            achieved = achievable_fixed_points(perm, max_n=lim)
+    start = time.perf_counter()
+    tables = {n: _pile_table(n) for n in range(1, lim + 1)}
+    per_move_s = time.perf_counter() - start
+
+    start = time.perf_counter()
+    for n, table in tables.items():
+        for before, word in zip(table, all_words(range(1, n + 1))):
+            pile = _codes(before)
+            achieved = achievable_fixed_points(Permutation(word), max_n=lim)
             rec.check(
-                (None in achieved) == (not before),
+                (None in achieved) == (not pile),
                 lambda w=word: f"pile-empty and brute-force sortability disagree at {list(w)}",
             )
-            wanted = before or frozenset({None})
+            wanted = pile or frozenset({None})
             rec.check(
                 achieved == wanted,
                 lambda w=word, a=achieved, b=wanted:
                 f"achievable fixed points of {list(w)}: {sorted(map(str, a))}, pile says {sorted(map(str, b))}",
             )
-            if len(before) >= 2:
-                for c in sorted(before):
+    rec.phases["fixed_points"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    tables[lim + 1] = _pile_table(lim + 1)
+    worst = 0
+    added_events = 0
+    for n, table in tables.items():
+        for rank, word in enumerate(all_words(range(1, n + 1))):
+            before = table[rank]
+            dropped = 0
+            moves = _move_list(Permutation(word))
+            failures = []
+            for p, q in moves:
+                after = table[_rank(_swap(word, p, q))]
+                dropped |= ((1 << (p - 1)) | (1 << (q - 1))) & ~after
+                removed = (before & ~after).bit_count()
+                worst = max(worst, removed)
+                if after & ~before:
+                    added_events += 1
+                if removed > 2:
+                    failures.append(f"move ({p},{q}) on {list(word)} removed {removed} pile codes")
+            rec.bulk(len(moves), failures)
+            if n <= lim and before.bit_count() >= 2:
+                for c in sorted(_codes(before)):
                     rec.check(
-                        c in dropped,
+                        dropped >> (c - 1) & 1,
                         lambda w=word, cc=c: f"pile code {cc} of {list(w)} is not removable by any single move",
                     )
+    rec.phases["per_move"] = per_move_s + time.perf_counter() - start
     rec.note(f"sortability, achievability, and removability exhaustive at n <= {lim}")
     rec.note(f"per-move removal bound exhaustive at n <= {lim + 1}; worst removal {worst}")
     rec.note(f"moves that added pile codes: {added_events}")
@@ -473,32 +522,27 @@ def _suite_np_classification(rec, *, seed, max_n, max_m, samples, threads):
 # Bounds: the closed-form winner rules never contradict exhaustive solving.
 # ---------------------------------------------------------------------------
 
-def _bounds_worker(chunk):
-    cache = SolveCache()
-    checked = 0
-    failures = []
-    for word in chunk:
-        perm = Permutation(word)
-        pile = strategic_pile(perm)
-        if len(pile) == 0:
-            continue
-        codes = sorted(pile.as_set())
-        for r in range(len(codes) + 1):
-            for combo in combinations(codes, r):
-                pred = bound_prediction(len(pile), r)
-                if pred.verdict == UNDETERMINED:
-                    continue
-                winner = solve_cds(CdsState(perm, frozenset(combo), ONE), cache=cache).winner
-                checked += 1
-                if winner != pred.verdict:
-                    failures.append(
-                        f"perm={list(word)} favorable={list(combo)}: rule "
-                        f"{'+'.join(pred.rules)} says {pred.verdict}, solver says {winner}"
-                    )
-    return checked, failures
+def _determined(k: int) -> list[tuple]:
+    """For a pile of k codes, each favorable size r with a determined verdict:
+    (r, prediction, the 2**k-bit value whose bit s is set when s has r bits)."""
+    sizes = [0] * (k + 1)
+    for s in range(1 << k):
+        sizes[s.bit_count()] |= 1 << s
+    return [(r, pred, sizes[r]) for r in range(k + 1)
+            if (pred := bound_prediction(k, r)).verdict != UNDETERMINED]
+
+
+def _mask_of(codes: tuple, combo: tuple) -> int:
+    """The bits of ``combo`` as a subset of ``codes`` (winning_sets' indexing)."""
+    return sum(1 << codes.index(c) for c in combo)
+
+
+def _winner(won: int, s: int) -> str:
+    return ONE if won >> s & 1 else TWO
 
 
 def _suite_bounds(rec, *, seed, max_n, max_m, samples, threads):
+    start = time.perf_counter()
     for pile_size in range(1, 65):
         for a_size in range(pile_size + 1):
             pred = bound_prediction(pile_size, a_size)
@@ -507,16 +551,38 @@ def _suite_bounds(rec, *, seed, max_n, max_m, samples, threads):
                 f"no verdict for pile {pile_size}, favorable {a_size}",
             )
     rec.note("rule families audited as mutually exclusive for pile sizes up to 64")
+    rec.phases["audit"] = time.perf_counter() - start
 
+    # Each word's winning sets come from one search; for each favorable size
+    # with a determined verdict, the sets of that size that disagree with it
+    # are one mask, and only those get a description.
+    start = time.perf_counter()
     lim = 6 if max_n is None else max_n
-    words = []
-    for n in range(2, lim + 1):
-        words.extend(all_words(range(1, n + 1)))
-    results = _fan_out(_bounds_worker, words, threads)
+    determined = {k: _determined(k) for k in range(1, lim)}
     total = 0
-    for checked, failures in results:
-        rec.bulk(checked, failures)
-        total += checked
+    for n in range(2, lim + 1):
+        for word in all_words(range(1, n + 1)):
+            perm = Permutation(word)
+            codes = tuple(sorted(strategic_pile(perm).as_set()))
+            if not codes or not determined[len(codes)]:
+                continue
+            won = winning_sets(CdsGame, perm, ONE, codes)
+            for r, pred, size_r in determined[len(codes)]:
+                checked = comb(len(codes), r)
+                total += checked
+                wrong = size_r & (~won if pred.verdict == ONE else won)
+                failures = []
+                if wrong:
+                    for combo in combinations(codes, r):
+                        s = _mask_of(codes, combo)
+                        if wrong >> s & 1:
+                            failures.append(
+                                f"perm={list(word)} favorable={list(combo)}: rule "
+                                f"{'+'.join(pred.rules)} says {pred.verdict}, "
+                                f"solver says {_winner(won, s)}"
+                            )
+                rec.bulk(checked, failures)
+    rec.phases["solver"] = time.perf_counter() - start
     rec.note(f"solver comparisons on determined predictions at n <= {lim}: {total}")
 
 
@@ -526,6 +592,7 @@ def _suite_bounds(rec, *, seed, max_n, max_m, samples, threads):
 # ---------------------------------------------------------------------------
 
 def _suite_tight(rec, *, seed, max_n, max_m, samples, threads):
+    start = time.perf_counter()
     cache = SolveCache()
     gcache = SolveCache()
     for n in (8, 12):
@@ -566,7 +633,11 @@ def _suite_tight(rec, *, seed, max_n, max_m, samples, threads):
                 slack == TWO,
                 f"alpha at n={n}: dropping favorable code {code} should flip the winner to TWO",
             )
+    rec.phases["fixtures"] = time.perf_counter() - start
 
+    # Per word and mover, one search per game values every favorable subset
+    # of the pile; a set where the games differ is a bit of the XOR.
+    start = time.perf_counter()
     lim = 6 if max_n is None else max_n
     full_pairs = 0
     partial_pairs = 0
@@ -577,28 +648,32 @@ def _suite_tight(rec, *, seed, max_n, max_m, samples, threads):
             pile = strategic_pile(perm)
             if len(pile) == 0:
                 continue
-            full = len(pile) == n - 1
             graph = overlap_graph(perm)
-            codes = sorted(pile.as_set())
-            for r in range(len(codes) + 1):
-                for combo in combinations(codes, r):
-                    favorable = frozenset(combo)
-                    for mover in (ONE, TWO):
-                        w_perm = solve_cds(CdsState(perm, favorable, mover), cache=cache).winner
-                        w_graph = solve_gcds(
-                            GcdsState(Position(graph, favorable), mover), cache=gcache
-                        ).winner
-                        if full:
-                            full_pairs += 1
-                            rec.check(
-                                w_perm == w_graph,
-                                f"full-pile correspondence fails at perm={list(word)} "
-                                f"favorable={list(combo)} mover={mover}: {w_perm} vs {w_graph}",
-                            )
-                        else:
-                            partial_pairs += 1
-                            if w_perm != w_graph:
-                                partial_disagreements += 1
+            codes = tuple(sorted(pile.as_set()))
+            won = {mover: (winning_sets(CdsGame, perm, mover, codes),
+                           winning_sets(GcdsGame, graph, mover, codes))
+                   for mover in (ONE, TWO)}
+            differ = [w_perm ^ w_graph for w_perm, w_graph in won.values()]
+            pairs = 2 << len(codes)
+            if len(pile) < n - 1:
+                partial_pairs += pairs
+                partial_disagreements += sum(map(int.bit_count, differ))
+                continue
+            full_pairs += pairs
+            failures = []
+            if any(differ):
+                for r in range(len(codes) + 1):
+                    for combo in combinations(codes, r):
+                        s = _mask_of(codes, combo)
+                        for mover, (w_perm, w_graph) in won.items():
+                            if (w_perm ^ w_graph) >> s & 1:
+                                failures.append(
+                                    f"full-pile correspondence fails at perm={list(word)} "
+                                    f"favorable={list(combo)} mover={mover}: "
+                                    f"{_winner(w_perm, s)} vs {_winner(w_graph, s)}"
+                                )
+            rec.bulk(pairs, failures)
+    rec.phases["exhaustive"] = time.perf_counter() - start
     rec.note(f"full-pile game correspondence at n <= {lim}: {full_pairs} solved pairs")
     rec.note(
         f"partial piles (no correspondence promised): {partial_disagreements} of "
@@ -725,8 +800,8 @@ _RUNNERS = {
 SUITE_NAMES = tuple(_RUNNERS)
 
 # The largest max_n a suite accepts; the exhaustive sweeps grow as n!.  With
-# no samples, on a 2-vCPU host, max_n 8 took 19 s (commutation), 22 s
-# (bounds), 101 s (pile-lemma) and 139 s (tight), 9 to 22 times max_n 7.
+# no samples, on a 2-vCPU host, max_n 8 took about 6 s (commutation and
+# tight), 3 s (bounds) and 35 s (pile-lemma), 13 to 16 times max_n 7.
 SUITE_MAX_N = 8
 
 

@@ -181,7 +181,8 @@ def test_integers_are_read_as_ascii_decimals(capsys, argv, token):
             main(argv)
         err = capsys.readouterr().err
         assert exited.value.code == 2
-        assert f"argument {argv[-2]}" in err and token in err
+        assert f"argument {argv[-2]}: invalid integer value" in err and token in err
+        assert "parse_decimal" not in err
         return
     code, doc = run_cli(capsys, *argv)
     assert code == 2
@@ -307,10 +308,13 @@ def test_verify_reports_time_per_phase(capsys):
     assert code == 3  # chain-collapse stays red
     timing = doc["timing"]
     assert sorted(timing["per_phase"]) == sorted(timing["per_suite"]) == sorted(cdsgame.SUITE_NAMES)
-    assert sorted(timing["per_phase"]["commutation"]) == ["exhaustive", "sampled"]
-    assert all(t >= 0 for t in timing["per_phase"]["commutation"].values())
-    assert all(not timing["per_phase"][name] for name in cdsgame.SUITE_NAMES
-               if name != "commutation")
+    phased = {"commutation": ["exhaustive", "sampled"], "pile-lemma": ["fixed_points", "per_move"],
+              "bounds": ["audit", "solver"], "tight": ["exhaustive", "fixtures"]}
+    for name in cdsgame.SUITE_NAMES:
+        phases = timing["per_phase"][name]
+        assert sorted(phases) == phased.get(name, []), name
+        assert all(t >= 0 for t in phases.values())
+        assert sum(phases.values()) <= timing["per_suite"][name]
 
 
 def test_pretty_flag(capsys):

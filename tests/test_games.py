@@ -2,7 +2,7 @@
 
 import os
 import random
-from itertools import combinations
+from itertools import combinations, permutations as all_words
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +31,10 @@ from cdsgame.games import (
     perm_state_key,
     solve_cds,
     solve_gcds,
+    winning_sets,
 )
 from cdsgame.graphs import Graph, Position, apply_gcds2
+from cdsgame.overlap import overlap_graph
 from cdsgame.permutations import Permutation, apply_cds, identity, legal_moves
 
 from test_graphs import _reference_apply_gcds2, all_graphs, without_vertices
@@ -718,3 +720,98 @@ def test_cached_word_equals_a_fresh_rendering(entries, favorable):
     fresh = "P|{}|{}|1".format(" ".join(map(str, entries)), ",".join(map(str, sorted(favorable))))
     assert perm_state_key(perm, frozenset(favorable), ONE) == fresh
     assert perm_state_key(perm, frozenset(favorable), ONE) == fresh
+
+
+# ---------------------------------------------------------------------------
+# Every favorable set from one search.
+
+def _assert_winning_sets_match_per_set_solves(n):
+    """Every word of length n with a pile, every A within the pile, both
+    movers, in both games; returns the number of (word, A, mover) triples."""
+    triples = 0
+    for word in all_words(range(1, n + 1)):
+        perm = Permutation(word)
+        codes = tuple(sorted(strategic_pile(perm).as_set()))
+        if not codes:
+            continue
+        graph = overlap_graph(perm)
+        for mover in (ONE, TWO):
+            cds = winning_sets(CdsGame, perm, mover, codes)
+            gcds = winning_sets(GcdsGame, graph, mover, codes)
+            for s in range(1 << len(codes)):
+                favorable = frozenset(c for i, c in enumerate(codes) if s >> i & 1)
+                triples += 1
+                expected = solve_cds(CdsState(perm, favorable, mover)).winner
+                assert (ONE if cds >> s & 1 else TWO) == expected, (word, favorable, mover)
+                expected = solve_gcds(GcdsState(Position(graph, favorable), mover)).winner
+                assert (ONE if gcds >> s & 1 else TWO) == expected, (word, favorable, mover)
+    return triples
+
+
+def test_winning_sets_match_per_set_solves_up_to_six():
+    clear_memos()
+    assert sum(_assert_winning_sets_match_per_set_solves(n) for n in range(2, 7)) == 6180
+
+
+@pytest.mark.slow
+def test_winning_sets_match_per_set_solves_at_seven():
+    clear_memos()
+    assert _assert_winning_sets_match_per_set_solves(7) == 44388 - 6180
+
+
+def test_winning_sets_read_terminals_and_order_the_universe():
+    # [3 4 1 2] is the rotation with code 2: won exactly for the sets with 2.
+    rotation = Permutation([3, 4, 1, 2])
+    assert winning_sets(CdsGame, rotation, ONE, (1, 2, 3)) == sum(
+        1 << s for s in range(8) if s & 0b010)
+    assert winning_sets(CdsGame, rotation, TWO, (2, 1)) == 0b1010
+    assert winning_sets(CdsGame, rotation, ONE, (1, 3)) == 0  # 2 outside the universe
+    assert winning_sets(CdsGame, identity(4), ONE, (1, 2, 3)) == 0
+    # An edgeless graph is won for the supersets of its survivors.
+    lone = Graph([1, 2], [])
+    assert winning_sets(GcdsGame, lone, ONE, (1, 2, 3)) == (1 << 3) | (1 << 7)
+    assert winning_sets(GcdsGame, lone, ONE, (1,)) == 0
+    assert winning_sets(GcdsGame, Graph([], []), TWO, ()) == 0
+    assert winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE, ()) == 0  # A = {} loses
+    with pytest.raises(ValueError, match="repeats"):
+        winning_sets(CdsGame, rotation, ONE, (2, 2))
+    with pytest.raises(ValueError):
+        winning_sets(CdsGame, rotation, "THREE", (2,))
+
+
+def test_winning_sets_refuse_seventeen_codes_before_any_walk():
+    clear_memos()
+    perm = Permutation(range(18, 0, -1))
+    with pytest.raises(SizeBoundError, match="16 codes, got 17"):
+        winning_sets(CdsGame, perm, ONE, range(1, 18))
+    assert games._SET_MEMOS == {}
+    assert memo_stats()["cds"] == {"hits": 0, "misses": 0, "states": 0, "children": 0}
+
+
+def test_winning_set_memos_keep_one_scope_per_game():
+    clear_memos()
+    winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE, (1, 3))
+    winning_sets(CdsGame, Permutation([3, 1, 4, 2]), TWO, (2,))
+    winning_sets(GcdsGame, Graph([1, 2, 3], [(1, 2)]), ONE, (1,))
+    held = {game: (scope, sorted(tables)) for game, (scope, tables, _) in games._SET_MEMOS.items()}
+    assert held == {CdsGame: (4, [(1, 3), (2,)]), GcdsGame: (3, [(1,)])}
+    winning_sets(CdsGame, Permutation([2, 1, 3]), ONE, (1, 2))  # the next length
+    assert games._SET_MEMOS[CdsGame][0] == 3 and list(games._SET_MEMOS[CdsGame][1]) == [(1, 2)]
+    clear_memos()
+    assert games._SET_MEMOS == {}
+
+
+def test_winning_set_memos_stay_within_their_bound(monkeypatch):
+    alpha, favorable = tight_instance(8)
+    codes = tuple(sorted(favorable))
+    clear_memos()
+    unbounded = winning_sets(CdsGame, alpha, ONE, codes)
+    clear_memos()
+    monkeypatch.setattr(games, "MEMO_SETS", 40)
+    assert winning_sets(CdsGame, alpha, ONE, codes) == unbounded
+    scope, tables, charged = games._SET_MEMOS[CdsGame]
+    assert 0 < charged <= 40 and sum(map(len, tables.values())) == charged
+    every = (1 << len(codes)) - 1  # A = B wins, and no B - {c} does
+    assert unbounded >> every & 1
+    assert not any(unbounded >> (every ^ (1 << i)) & 1 for i in range(len(codes)))
+    clear_memos()

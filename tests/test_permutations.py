@@ -15,8 +15,10 @@ from cdsgame.permutations import (
     NotApplicableError,
     ParseError,
     Permutation,
+    _PAIRS,
     _move_list,
     _overlap_rows,
+    _swap,
     apply_cds,
     fixed_point_code,
     identity,
@@ -298,3 +300,29 @@ def test_apply_cds_validates_pointers_before_the_interlock_test():
         apply_cds(perm, 1, 4)
     with pytest.raises(NotApplicableError):
         apply_cds(perm, 2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 14).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.integers(1, n - 1), st.integers(1, n - 1))))
+def test_swap_is_the_block_swap_of_apply_cds(case):
+    word, p, q = case
+    word = tuple(word)
+    perm = Permutation(word)
+    if p != q and interlocks(perm, p, q):
+        assert _swap(word, p, q) == _swap(word, q, p) == apply_cds(perm, p, q).entries
+    else:
+        assert _swap(word, p, q) is None
+        with pytest.raises(NotApplicableError):
+            apply_cds(perm, p, q)
+
+
+def test_move_lists_share_one_tuple_per_move():
+    first = _move_list(Permutation([2, 4, 1, 3]))
+    again = _move_list(Permutation([3, 1, 4, 2]))
+    assert (first, again) == ([(1, 2), (1, 3), (2, 3)], [(1, 3)])
+    assert again[0] is first[1]
+    word = list(range(66, 0, -1))
+    word[0], word[-1] = word[-1], word[0]
+    moves = _move_list(Permutation(word))  # 65 pointers: made fresh, not kept
+    assert moves == sorted(legal_moves(Permutation(word))) and 65 not in _PAIRS

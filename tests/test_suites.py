@@ -3,10 +3,14 @@
 import concurrent.futures
 import os
 import time
+from itertools import permutations as all_words
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdsgame import suites
+from cdsgame.cyclegraph import strategic_pile
+from cdsgame.permutations import Permutation
 from cdsgame.permutations import SizeBoundError
 from cdsgame.suites import SUITE_MAX_N, SUITE_NAMES, _fan_out, run_all, run_suite
 
@@ -102,6 +106,25 @@ def test_pile_suite_small():
     result = run_suite("pile-lemma", max_n=4)
     assert result.ok
     assert any("worst removal" in note for note in result.notes)
+
+
+@pytest.fixture(scope="module")
+def pile_tables():
+    return {n: suites._pile_table(n) for n in range(1, 8)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_pile_table_entries_are_the_piles_at_each_words_rank(pile_tables, word):
+    word = tuple(word)
+    table = pile_tables[len(word)]
+    assert suites._codes(table[suites._rank(word)]) == strategic_pile(Permutation(word)).as_set()
+
+
+def test_ranks_count_the_words_in_lexicographic_order():
+    for n in range(1, 6):
+        words = list(all_words(range(1, n + 1)))
+        assert [suites._rank(w) for w in words] == list(range(len(words)))
 
 
 def test_bounds_suite_small():
