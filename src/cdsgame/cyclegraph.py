@@ -15,8 +15,10 @@ pointer codes in walk order; it is empty when those two dotted edges lie on
 different cycles.  The pile is empty exactly when the permutation is
 cds-sortable, and the pile codes are exactly the fixed-point codes reachable
 by playing cds to the end.  :func:`achievable_fixed_points` finds those
-codes on the cds solver's successor memo (games.py); the ``pile-lemma`` suite
-checks both facts with it, and the plain brute-force oracles are in the tests.
+codes on the cds solver's successor memo (games.py).  The ``pile-lemma``
+suite checks both facts one move deep (a word's pile is the union of its
+children's), and the tests check them with this search and with plain
+brute-force oracles.
 """
 
 from __future__ import annotations

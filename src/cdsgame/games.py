@@ -20,16 +20,18 @@ so far, each made by ``make(state, move)`` on first use, see
 :func:`successor`) and ``variant(state, depth)`` (a natural number every
 move lowers).  A game's terminal rule is its ``outcome``:
 :func:`cds_terminal_winner` and :func:`gcds_terminal_winner` call it, and
-``needs(state)`` states the same rule for every favorable set at once
-(None off a terminal, else the fixed point's code or the graph's
-survivors, which A must include for ONE to win; ONE wins for no A where
-nothing is named).  :func:`solve_cds` and :func:`solve_gcds` are the
-size-checked public solvers.  A gcds state is a graph: its vertices and
-adjacency rows are bit masks over the root graph's labels, and a move pivots
-them with mask operations into a child over the same labels, without the
-validating constructor (graphs.py).  A graph's key text is rendered from the
-bits once, and the mask of a favorable set is kept, per set, on the universe
-that owns the bits; :func:`graph_state_key` reads both.  The gcds successor
+``needs(state, root)`` states the same rule for every favorable set at
+once (None off a terminal, else the mask of the fixed point's code or of
+the graph's survivors, which A must include for ONE to win; ONE wins for no
+A where the mask is 0).  Such a mask numbers ``universe(root)``: bit c-1 is
+code c of a word, bit i is label i of a graph's universe.  :func:`solve_cds`
+and :func:`solve_gcds` are the size-checked public solvers.  A gcds state is
+a graph: its vertices and adjacency rows are bit masks over the root graph's
+labels, and a move pivots them with mask operations into a child over the
+same labels, without the validating constructor (graphs.py).  A graph's key
+text is rendered from the bits once, and the mask of a favorable set is kept,
+per set, on the universe that owns the bits; :func:`graph_state_key` reads
+both.  The gcds successor
 memo is keyed by that text, so roots with different label sets share entries
 where both label sets are plain (see graphs.py; other graphs are keyed by
 their bits and universe); its moves are label pairs, which ``make`` maps
@@ -43,17 +45,16 @@ charge past MEMO_CHILDREN (2**16), so it never holds more children than that
 or one state's fan-out; :func:`clear_memos` empties both memos and
 :func:`memo_stats` reports on them.  :func:`winning_sets` walks the same
 memos once for every favorable set: a state's value is an int with one bit
-per subset of a small universe, set where ONE wins, read at a terminal off
-what ``needs`` names and combined by OR where ONE moves and by AND where
-TWO moves.  Its values are kept per universe for roots of one
-``memo_scope`` (a length), within MEMO_SETS, and :func:`clear_memos` drops
-them too; the exhaustive suites read their verdicts from them.  The search
-is negamax with memoisation over the exact labelled state; no symmetry
-reduction is applied, so cache keys are reproducible strings and can be
-persisted to disk and reloaded across runs.  The principal variation always
-plays the least winning move for the side to move (least move at all in lost
-positions), and every solve asserts that its terminal agrees with the
-reported winner.
+per favorable set, set where ONE wins, read at a terminal off the mask
+``needs`` names and combined by OR where ONE moves and by AND where TWO
+moves.  Its values are kept for roots of one universe, within MEMO_SETS,
+and :func:`clear_memos` drops them too; the exhaustive suites read their
+verdicts from them.  The search is negamax with memoisation over the exact
+labelled state; no symmetry reduction is applied, so cache keys are
+reproducible strings and can be persisted to disk and reloaded across runs.
+The principal variation always plays the least winning move for the side to
+move (least move at all in lost positions), and every solve asserts that its
+terminal agrees with the reported winner.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .graphs import Graph, Position
+from .graphs import Graph, Position, _bits
 from .permutations import (
     Permutation,
     SizeBoundError,
@@ -411,18 +412,19 @@ class CdsGame(Record):
         return ONE if code and code in self.favorable else TWO
 
     @staticmethod
-    def needs(perm: Permutation) -> tuple | None:
-        """What a favorable set must hold for ONE to win at the terminal
-        ``perm``: its code, or nothing for the identity (ONE wins for no
-        set); None when ``perm`` is not terminal."""
+    def needs(perm: Permutation, root: Permutation) -> int | None:
+        """The bits a favorable set must hold for ONE to win at the terminal
+        ``perm``: its code's, or 0 for the identity (ONE wins for no set);
+        None when ``perm`` is not terminal.  ``root`` numbers codes alike."""
         if not is_fixed_point(perm):
             return None
         code = perm.entries[0] - 1
-        return (code,) if code else ()
+        return 1 << (code - 1) if code else 0
 
     @staticmethod
-    def memo_scope(perm: Permutation) -> int:
-        return perm.n
+    def universe(perm: Permutation) -> range:
+        """The codes 1..n-1 a favorable set is drawn from: bit c-1 is code c."""
+        return range(1, perm.n)
 
     moves = staticmethod(_cds_successors)
 
@@ -452,20 +454,23 @@ class GcdsGame(Record):
         return ONE if alive and not alive & ~graph.universe.mask(self.favorable) else TWO
 
     @staticmethod
-    def needs(graph: Graph) -> frozenset | None:
-        """The survivors of the terminal ``graph``, which a favorable set must
-        include for ONE to win (none survive: ONE wins for no set); None
-        when ``graph`` still has an edge."""
+    def needs(graph: Graph, root: Graph) -> int | None:
+        """The mask over ``root``'s labels of the survivors of the terminal
+        ``graph``, which a favorable set must include for ONE to win (none
+        survive: ONE wins for no set); None when ``graph`` has an edge.  The
+        successor memo shares children among plain universes by key text,
+        so ``graph`` may number other labels: its survivors are renumbered."""
         if any(graph.rows):
             return None
-        return graph.universe.labels_in(graph.alive)
+        own, index = graph.universe, root.universe.index
+        if own.labels == root.universe.labels:
+            return graph.alive
+        return sum(1 << index[v] for v in own.labels_in(graph.alive))
 
     @staticmethod
-    def memo_scope(graph: Graph):
-        """The root's label count; a universe that is not plain is its own
-        scope, because there one key text can name different labels."""
-        universe = graph.universe
-        return len(universe.labels) if universe.plain else universe
+    def universe(graph: Graph) -> tuple:
+        """The root's labels, numbered as the graph's masks number them."""
+        return graph.universe.labels
 
     moves = staticmethod(_gcds_successors)
 
@@ -534,18 +539,19 @@ def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
 # ---------------------------------------------------------------------------
 # Every favorable set at once.
 
-# The largest universe :func:`winning_sets` accepts: a value is a 2**|U|-bit
+# The largest universe :func:`winning_sets` accepts: a value is a 2**k-bit
 # int, 8 KB at 16 codes.
 MAX_UNIVERSE = 16
 
-# How much one game's winning-set memos may hold, in units of about 256 bytes:
+# How much one game's winning-set memo may hold, in units of about 256 bytes:
 # an entry (its key, slot and value) costs one unit plus one per 2 KB of
 # value bits.  A new entry that would pass the bound empties that game's
-# tables first.  The tight suite at max_n 8 needs about 120,000 units.
+# table first.  The tight suite at max_n 8 needs about 37,000 (cds) and
+# 17,000 (gcds) units.
 MEMO_SETS = 1 << 18
 
-# Per game class: [the scope of the roots its memos hold values for, one
-# table per universe from state key (with A empty) to value, units charged].
+# Per game class: [the universe of the roots its memo holds values for, the
+# table from state key (with A empty) to value, units charged].
 _SET_MEMOS: dict = {}
 _PATTERNS: dict = {}
 
@@ -564,61 +570,50 @@ def _patterns(k: int) -> tuple:
     return found
 
 
-def winning_sets(game, state, mover: str, universe) -> int:
-    """Which subsets of ``universe`` win for ONE as the favorable set.
+def winning_sets(game, state, mover: str) -> int:
+    """Which favorable sets win for ONE.
 
-    ``game`` is :class:`CdsGame` or :class:`GcdsGame` and ``universe`` a
-    sequence of distinct codes or labels, at most MAX_UNIVERSE of them.
-    Bit s of the result is set when ONE wins from ``state`` with ``mover``
-    to move and favorable set {universe[i] : bit i of s}.  A terminal is won
-    for the sets that include what ``game.needs`` names, when that is not
-    empty and lies in the universe, else for none; ONE to move ORs its
-    children's values and TWO ANDs them, each stopping once the value is
-    settled.  States and children come from the successor memos, and each
-    visit is keyed by ``game.key`` with no favorable set.  Values are kept
-    per universe for roots of one ``game.memo_scope`` (the word length, or
-    the graph's label count) and dropped when a root of another scope comes,
-    or when they would pass MEMO_SETS.
+    ``game`` is :class:`CdsGame` or :class:`GcdsGame`, and a favorable set
+    S is a mask over ``game.universe(state)``, which holds at most
+    MAX_UNIVERSE codes or labels: bit c-1 is code c of a word, bit i is
+    label i of a graph's universe.  Bit S of the result is set when ONE wins
+    from ``state`` with ``mover`` to move and favorable set S.  A terminal
+    is won for the sets that include the mask ``game.needs`` names, when
+    that is not 0, else for none; ONE to move ORs its children's values and
+    TWO ANDs them, stopping once none is left.  States and children come
+    from the successor memos, and each visit is keyed by ``game.key`` with
+    no favorable set.  Values are kept for roots of one universe and dropped
+    when a root of another comes, or when they would pass MEMO_SETS.
     """
-    universe = tuple(universe)
+    universe = game.universe(state)
     k = len(universe)
     if k > MAX_UNIVERSE:
         raise SizeBoundError(f"winning_sets limited to {MAX_UNIVERSE} codes, got {k}")
-    index = dict(zip(universe, range(k)))
-    if len(index) < k:
-        raise ValueError(f"universe {list(universe)!r} repeats a code")
     opponent(mover)  # validates
     full, patterns = _patterns(k)
-    scope = game.memo_scope(state)
     held = _SET_MEMOS.get(game)
-    if held is None or held[0] != scope:
-        held = _SET_MEMOS[game] = [scope, {}, 0]
-    tables = held[1]
-    table = tables.setdefault(universe, {})
+    if held is None or held[0] != universe:
+        held = _SET_MEMOS[game] = [universe, {}, 0]
+    table = held[1]
     cost = 1 + ((1 << k) >> 11)
     blank = game(frozenset())
     key_of, needs, moves = blank.key, game.needs, game.moves
+    root = state
 
     def walk(state, mover: str) -> int:
         key = key_of(state, mover)
         value = table.get(key)
         if value is not None:
             return value
-        need = needs(state)
+        need = needs(state, root)
         if need is not None:
             value = full if need else 0
-            for label in need:
-                i = index.get(label)
-                if i is None:
-                    value = 0
-                    break
+            for i in _bits(need):
                 value &= patterns[i]
         elif mover == ONE:
             value, entry = 0, moves(state)
             for i in range(len(entry[0])):
                 value |= walk(successor(game, state, entry, i), TWO)
-                if value == full:
-                    break
         else:
             value, entry = full, moves(state)
             for i in range(len(entry[0])):
@@ -626,8 +621,7 @@ def winning_sets(game, state, mover: str, universe) -> int:
                 if not value:
                     break
         if held[2] + cost > MEMO_SETS:
-            for kept in tables.values():
-                kept.clear()
+            table.clear()
             held[2] = 0
         held[2] += cost
         table[key] = value

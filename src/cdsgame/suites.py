@@ -19,7 +19,6 @@ from itertools import combinations, permutations as all_words
 from math import comb
 
 from .cyclegraph import (
-    achievable_fixed_points,
     alternating_cycles,
     build_cycle_graph,
     is_sortable,
@@ -406,48 +405,33 @@ def _codes(mask: int) -> frozenset[int]:
 
 
 def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
-    # Per length n <= lim + 1, a table of every word's pile.  The fixed-point
-    # searches at n <= lim read the pile off it, and run before the table at
-    # n = lim + 1, the largest, is made, so that it never sits beside their
-    # memos.  A move's after-pile is the table entry of the block-swapped
-    # word; it serves the per-move bound and, at n <= lim, removability: the
-    # swap is symmetric in p and q, so "some legal move at c drops c" reads
-    # off the same piles.
+    # Per length n <= lim + 1, a table of every word's pile.  A move's
+    # after-pile is the table entry of the block-swapped word; it serves the
+    # per-move bound and, at n <= lim, removability (the swap is symmetric in
+    # p and q, so "some legal move at c drops c" reads off the same piles)
+    # and achievability one move deep: with bit n-1 standing for the
+    # identity, a word's pile (or that bit, when the pile is empty) is the OR
+    # of its children's, or its own fixed point's where it has no move.
+    # Every move shortens the rest of the game, so by induction the pile is
+    # exactly the set of fixed-point codes that play can reach.
     lim = 6 if max_n is None else max_n
     start = time.perf_counter()
-    tables = {n: _pile_table(n) for n in range(1, lim + 1)}
-    per_move_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for n, table in tables.items():
-        for before, word in zip(table, all_words(range(1, n + 1))):
-            pile = _codes(before)
-            achieved = achievable_fixed_points(Permutation(word), max_n=lim)
-            rec.check(
-                (None in achieved) == (not pile),
-                lambda w=word: f"pile-empty and brute-force sortability disagree at {list(w)}",
-            )
-            wanted = pile or frozenset({None})
-            rec.check(
-                achieved == wanted,
-                lambda w=word, a=achieved, b=wanted:
-                f"achievable fixed points of {list(w)}: {sorted(map(str, a))}, pile says {sorted(map(str, b))}",
-            )
-    rec.phases["fixed_points"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    tables[lim + 1] = _pile_table(lim + 1)
     worst = 0
     added_events = 0
-    for n, table in tables.items():
+    for n in range(1, lim + 2):
+        table = _pile_table(n)
+        identity_bit = 1 << (n - 1)
+        deep = n <= lim
         for rank, word in enumerate(all_words(range(1, n + 1))):
             before = table[rank]
-            dropped = 0
+            dropped = reached = 0
             moves = _move_list(Permutation(word))
             failures = []
             for p, q in moves:
                 after = table[_rank(_swap(word, p, q))]
-                dropped |= ((1 << (p - 1)) | (1 << (q - 1))) & ~after
+                if deep:
+                    reached |= after or identity_bit
+                    dropped |= ((1 << (p - 1)) | (1 << (q - 1))) & ~after
                 removed = (before & ~after).bit_count()
                 worst = max(worst, removed)
                 if after & ~before:
@@ -455,16 +439,35 @@ def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
                 if removed > 2:
                     failures.append(f"move ({p},{q}) on {list(word)} removed {removed} pile codes")
             rec.bulk(len(moves), failures)
-            if n <= lim and before.bit_count() >= 2:
+            if not deep:
+                continue
+            if not moves:
+                reached = 1 << (word[0] - 2) if word[0] > 1 else identity_bit
+            rec.check(
+                bool(reached & identity_bit) == (not before),
+                lambda w=word: f"pile-empty and brute-force sortability disagree at {list(w)}",
+            )
+            rec.check(
+                reached == (before or identity_bit),
+                lambda w=word, a=reached, b=before or identity_bit:
+                f"achievable fixed points of {list(w)}: {_fixed_points(a, n)}, "
+                f"pile says {_fixed_points(b, n)}",
+            )
+            if before.bit_count() >= 2:
                 for c in sorted(_codes(before)):
                     rec.check(
                         dropped >> (c - 1) & 1,
                         lambda w=word, cc=c: f"pile code {cc} of {list(w)} is not removable by any single move",
                     )
-    rec.phases["per_move"] = per_move_s + time.perf_counter() - start
+    rec.phases["per_move"] = time.perf_counter() - start
     rec.note(f"sortability, achievability, and removability exhaustive at n <= {lim}")
     rec.note(f"per-move removal bound exhaustive at n <= {lim + 1}; worst removal {worst}")
     rec.note(f"moves that added pile codes: {added_events}")
+
+
+def _fixed_points(mask: int, n: int) -> list[str]:
+    """The fixed-point codes of a mask as sorted text, bit n-1 as None."""
+    return sorted(str(c if c < n else None) for c in _codes(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +525,13 @@ def _suite_np_classification(rec, *, seed, max_n, max_m, samples, threads):
 # Bounds: the closed-form winner rules never contradict exhaustive solving.
 # ---------------------------------------------------------------------------
 
-def _determined(k: int) -> list[tuple]:
-    """For a pile of k codes, each favorable size r with a determined verdict:
-    (r, prediction, the 2**k-bit value whose bit s is set when s has r bits)."""
-    sizes = [0] * (k + 1)
-    for s in range(1 << k):
-        sizes[s.bit_count()] |= 1 << s
-    return [(r, pred, sizes[r]) for r in range(k + 1)
-            if (pred := bound_prediction(k, r)).verdict != UNDETERMINED]
-
-
-def _mask_of(codes: tuple, combo: tuple) -> int:
-    """The bits of ``combo`` as a subset of ``codes`` (winning_sets' indexing)."""
-    return sum(1 << codes.index(c) for c in combo)
+def _subsets(k: int) -> list[int]:
+    """Per mask P of k bits, the 2**k-bit value whose bit S is set when S is
+    a subset of P, built by doubling over P's top bit."""
+    out = [1]
+    for i in range(k):
+        out += [v | v << (1 << i) for v in out]
+    return out
 
 
 def _winner(won: int, s: int) -> str:
@@ -554,27 +551,31 @@ def _suite_bounds(rec, *, seed, max_n, max_m, samples, threads):
     rec.phases["audit"] = time.perf_counter() - start
 
     # Each word's winning sets come from one search; for each favorable size
-    # with a determined verdict, the sets of that size that disagree with it
-    # are one mask, and only those get a description.
+    # with a determined verdict (per pile size k), the subsets of the pile of
+    # that size that disagree with it are one mask, and only those get a
+    # description.
     start = time.perf_counter()
     lim = 6 if max_n is None else max_n
-    determined = {k: _determined(k) for k in range(1, lim)}
+    determined = {k: [(r, pred) for r in range(k + 1)
+                      if (pred := bound_prediction(k, r)).verdict != UNDETERMINED]
+                  for k in range(1, lim)}
     total = 0
     for n in range(2, lim + 1):
-        for word in all_words(range(1, n + 1)):
-            perm = Permutation(word)
-            codes = tuple(sorted(strategic_pile(perm).as_set()))
-            if not codes or not determined[len(codes)]:
+        within = _subsets(n - 1)
+        sizes = [sum(1 << a for a in range(1 << (n - 1)) if a.bit_count() == r) for r in range(n)]
+        for word, pile in zip(all_words(range(1, n + 1)), _pile_table(n)):
+            k = pile.bit_count()
+            if not k or not determined[k]:
                 continue
-            won = winning_sets(CdsGame, perm, ONE, codes)
-            for r, pred, size_r in determined[len(codes)]:
-                checked = comb(len(codes), r)
+            won = winning_sets(CdsGame, Permutation(word), ONE)
+            for r, pred in determined[k]:
+                checked = comb(k, r)
                 total += checked
-                wrong = size_r & (~won if pred.verdict == ONE else won)
+                wrong = within[pile] & sizes[r] & (~won if pred.verdict == ONE else won)
                 failures = []
                 if wrong:
-                    for combo in combinations(codes, r):
-                        s = _mask_of(codes, combo)
+                    for combo in combinations(sorted(_codes(pile)), r):
+                        s = sum(1 << (c - 1) for c in combo)
                         if wrong >> s & 1:
                             failures.append(
                                 f"perm={list(word)} favorable={list(combo)}: rule "
@@ -635,36 +636,37 @@ def _suite_tight(rec, *, seed, max_n, max_m, samples, threads):
             )
     rec.phases["fixtures"] = time.perf_counter() - start
 
-    # Per word and mover, one search per game values every favorable subset
-    # of the pile; a set where the games differ is a bit of the XOR.
+    # Per word and mover, one search per game values every favorable set;
+    # a subset of the pile where the games differ is a bit of the XOR.
     start = time.perf_counter()
     lim = 6 if max_n is None else max_n
     full_pairs = 0
     partial_pairs = 0
     partial_disagreements = 0
     for n in range(2, lim + 1):
-        for word in all_words(range(1, n + 1)):
-            perm = Permutation(word)
-            pile = strategic_pile(perm)
-            if len(pile) == 0:
+        within = _subsets(n - 1)
+        for word, pile in zip(all_words(range(1, n + 1)), _pile_table(n)):
+            if not pile:
                 continue
+            perm = Permutation(word)
             graph = overlap_graph(perm)
-            codes = tuple(sorted(pile.as_set()))
-            won = {mover: (winning_sets(CdsGame, perm, mover, codes),
-                           winning_sets(GcdsGame, graph, mover, codes))
+            won = {mover: (winning_sets(CdsGame, perm, mover),
+                           winning_sets(GcdsGame, graph, mover))
                    for mover in (ONE, TWO)}
-            differ = [w_perm ^ w_graph for w_perm, w_graph in won.values()]
-            pairs = 2 << len(codes)
-            if len(pile) < n - 1:
+            differ = [(w_perm ^ w_graph) & within[pile] for w_perm, w_graph in won.values()]
+            k = pile.bit_count()
+            pairs = 2 << k
+            if k < n - 1:
                 partial_pairs += pairs
                 partial_disagreements += sum(map(int.bit_count, differ))
                 continue
             full_pairs += pairs
             failures = []
             if any(differ):
-                for r in range(len(codes) + 1):
+                codes = sorted(_codes(pile))
+                for r in range(k + 1):
                     for combo in combinations(codes, r):
-                        s = _mask_of(codes, combo)
+                        s = sum(1 << (c - 1) for c in combo)
                         for mover, (w_perm, w_graph) in won.items():
                             if (w_perm ^ w_graph) >> s & 1:
                                 failures.append(
@@ -800,8 +802,9 @@ _RUNNERS = {
 SUITE_NAMES = tuple(_RUNNERS)
 
 # The largest max_n a suite accepts; the exhaustive sweeps grow as n!.  With
-# no samples, on a 2-vCPU host, max_n 8 took about 6 s (commutation and
-# tight), 3 s (bounds) and 35 s (pile-lemma), 13 to 16 times max_n 7.
+# no samples, on a noisy 2-vCPU host, max_n 8 took 4 to 8 s (commutation and
+# tight), 2 to 5 s (bounds) and 19 to 33 s (pile-lemma) over three runs,
+# about 10 to 15 times max_n 7.
 SUITE_MAX_N = 8
 
 

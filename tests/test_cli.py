@@ -308,7 +308,7 @@ def test_verify_reports_time_per_phase(capsys):
     assert code == 3  # chain-collapse stays red
     timing = doc["timing"]
     assert sorted(timing["per_phase"]) == sorted(timing["per_suite"]) == sorted(cdsgame.SUITE_NAMES)
-    phased = {"commutation": ["exhaustive", "sampled"], "pile-lemma": ["fixed_points", "per_move"],
+    phased = {"commutation": ["exhaustive", "sampled"], "pile-lemma": ["per_move"],
               "bounds": ["audit", "solver"], "tight": ["exhaustive", "fixtures"]}
     for name in cdsgame.SUITE_NAMES:
         phases = timing["per_phase"][name]

@@ -731,21 +731,34 @@ def _assert_winning_sets_match_per_set_solves(n):
     triples = 0
     for word in all_words(range(1, n + 1)):
         perm = Permutation(word)
-        codes = tuple(sorted(strategic_pile(perm).as_set()))
-        if not codes:
+        pile = sum(1 << (c - 1) for c in strategic_pile(perm).as_set())
+        if not pile:
             continue
         graph = overlap_graph(perm)
         for mover in (ONE, TWO):
-            cds = winning_sets(CdsGame, perm, mover, codes)
-            gcds = winning_sets(GcdsGame, graph, mover, codes)
-            for s in range(1 << len(codes)):
-                favorable = frozenset(c for i, c in enumerate(codes) if s >> i & 1)
+            cds = winning_sets(CdsGame, perm, mover)
+            gcds = winning_sets(GcdsGame, graph, mover)
+            for s in range(pile + 1):
+                if s & ~pile:
+                    continue
+                favorable = frozenset(c for c in range(1, n) if s >> (c - 1) & 1)
                 triples += 1
                 expected = solve_cds(CdsState(perm, favorable, mover)).winner
                 assert (ONE if cds >> s & 1 else TWO) == expected, (word, favorable, mover)
                 expected = solve_gcds(GcdsState(Position(graph, favorable), mover)).winner
                 assert (ONE if gcds >> s & 1 else TWO) == expected, (word, favorable, mover)
     return triples
+
+
+def _assert_graph_sets_match_per_set_solves(graph):
+    """Every favorable set over the graph's labels, both movers."""
+    labels = graph.universe.labels
+    for mover in (ONE, TWO):
+        won = winning_sets(GcdsGame, graph, mover)
+        for s in range(1 << len(labels)):
+            favorable = frozenset(v for i, v in enumerate(labels) if s >> i & 1)
+            expected = solve_gcds(GcdsState(Position(graph, favorable), mover)).winner
+            assert (ONE if won >> s & 1 else TWO) == expected, (graph, favorable, mover)
 
 
 def test_winning_sets_match_per_set_solves_up_to_six():
@@ -759,59 +772,97 @@ def test_winning_sets_match_per_set_solves_at_seven():
     assert _assert_winning_sets_match_per_set_solves(7) == 44388 - 6180
 
 
-def test_winning_sets_read_terminals_and_order_the_universe():
-    # [3 4 1 2] is the rotation with code 2: won exactly for the sets with 2.
+def test_winning_sets_read_terminals_in_the_states_numbering():
+    clear_memos()
+    # [3 4 1 2] is the rotation with code 2 (bit 1): won exactly for the
+    # sets with 2, whoever is to move.
     rotation = Permutation([3, 4, 1, 2])
-    assert winning_sets(CdsGame, rotation, ONE, (1, 2, 3)) == sum(
-        1 << s for s in range(8) if s & 0b010)
-    assert winning_sets(CdsGame, rotation, TWO, (2, 1)) == 0b1010
-    assert winning_sets(CdsGame, rotation, ONE, (1, 3)) == 0  # 2 outside the universe
-    assert winning_sets(CdsGame, identity(4), ONE, (1, 2, 3)) == 0
+    with_two = sum(1 << s for s in range(8) if s & 0b010)
+    assert winning_sets(CdsGame, rotation, ONE) == with_two
+    assert winning_sets(CdsGame, rotation, TWO) == with_two
+    assert winning_sets(CdsGame, identity(4), ONE) == 0
     # An edgeless graph is won for the supersets of its survivors.
-    lone = Graph([1, 2], [])
-    assert winning_sets(GcdsGame, lone, ONE, (1, 2, 3)) == (1 << 3) | (1 << 7)
-    assert winning_sets(GcdsGame, lone, ONE, (1,)) == 0
-    assert winning_sets(GcdsGame, Graph([], []), TWO, ()) == 0
-    assert winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE, ()) == 0  # A = {} loses
-    with pytest.raises(ValueError, match="repeats"):
-        winning_sets(CdsGame, rotation, ONE, (2, 2))
+    assert winning_sets(GcdsGame, Graph([1, 2], []), ONE) == 1 << 0b11
+    with_one = sum(1 << s for s in range(8) if s & 0b001)
+    assert winning_sets(GcdsGame, Graph([1, 2, 4], [(2, 4)]), ONE) == with_one  # 1 survives
+    assert winning_sets(GcdsGame, Graph([], []), TWO) == 0
+    assert not winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE) & 1  # A = {} loses
     with pytest.raises(ValueError):
-        winning_sets(CdsGame, rotation, "THREE", (2,))
+        winning_sets(CdsGame, rotation, "THREE")
+
+
+def test_winning_sets_number_graph_labels_as_the_universe_does():
+    clear_memos()
+    letters = Graph(["c", "a", "b", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    assert letters.universe.labels == ("a", "b", "c", "d")
+    _assert_graph_sets_match_per_set_solves(letters)
+    # 1 and "1" share a str, so their keys are reprs; "1" sorts after 2.
+    mixed = Graph([1, "1", 2, "2"], [(1, "1"), ("1", 2), (2, "2")])
+    assert mixed.universe.labels == (1, 2, "1", "2")
+    _assert_graph_sets_match_per_set_solves(mixed)
+    # The pivot at {1, "1"} leaves only 2, bit 1 of (1, 2, "1").
+    with_two = sum(1 << s for s in range(8) if s & 0b010)
+    assert winning_sets(GcdsGame, Graph([1, "1", 2], [(1, "1")]), ONE) == with_two
+
+
+def test_winning_sets_keep_two_universes_of_one_size_apart():
+    # Both games end at the child with key text "3|", where 3 is bit 2 of
+    # the first universe and bit 0 of the second.
+    clear_memos()
+    assert winning_sets(GcdsGame, Graph([1, 2, 3], [(1, 2)]), ONE) == 0b11110000
+    assert winning_sets(GcdsGame, Graph([3, 4, 5], [(4, 5)]), ONE) == 0b10101010
+    assert games._SET_MEMOS[GcdsGame][0] == (3, 4, 5)
+    clear_memos()
+
+
+def test_winning_sets_renumber_children_made_over_another_universe():
+    # Solving the larger graph makes and expands the child "3,4,5|3-4,4-5"
+    # over (1, ..., 5); the smaller root shares that memo entry, whose
+    # terminals keep their bits over (1, ..., 5), where 3 is bit 2, not 0.
+    clear_memos()
+    larger = Graph([1, 2, 3, 4, 5], [(1, 2), (3, 4), (4, 5)])
+    for mover in (ONE, TWO):
+        solve_gcds(GcdsState(Position(larger, frozenset()), mover))
+        winning_sets(GcdsGame, larger, mover)
+    _assert_graph_sets_match_per_set_solves(Graph([3, 4, 5], [(3, 4), (4, 5)]))
+    clear_memos()
 
 
 def test_winning_sets_refuse_seventeen_codes_before_any_walk():
     clear_memos()
     perm = Permutation(range(18, 0, -1))
     with pytest.raises(SizeBoundError, match="16 codes, got 17"):
-        winning_sets(CdsGame, perm, ONE, range(1, 18))
+        winning_sets(CdsGame, perm, ONE)
     assert games._SET_MEMOS == {}
     assert memo_stats()["cds"] == {"hits": 0, "misses": 0, "states": 0, "children": 0}
 
 
 def test_winning_set_memos_keep_one_scope_per_game():
     clear_memos()
-    winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE, (1, 3))
-    winning_sets(CdsGame, Permutation([3, 1, 4, 2]), TWO, (2,))
-    winning_sets(GcdsGame, Graph([1, 2, 3], [(1, 2)]), ONE, (1,))
-    held = {game: (scope, sorted(tables)) for game, (scope, tables, _) in games._SET_MEMOS.items()}
-    assert held == {CdsGame: (4, [(1, 3), (2,)]), GcdsGame: (3, [(1,)])}
-    winning_sets(CdsGame, Permutation([2, 1, 3]), ONE, (1, 2))  # the next length
-    assert games._SET_MEMOS[CdsGame][0] == 3 and list(games._SET_MEMOS[CdsGame][1]) == [(1, 2)]
+    winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE)
+    winning_sets(CdsGame, Permutation([3, 1, 4, 2]), TWO)
+    winning_sets(GcdsGame, Graph([1, 2, 3], [(1, 2)]), ONE)
+    held = {game: universe for game, (universe, _, _) in games._SET_MEMOS.items()}
+    assert held == {CdsGame: range(1, 4), GcdsGame: (1, 2, 3)}
+    assert {"P|2 4 1 3||1", "P|3 1 4 2||2"} <= set(games._SET_MEMOS[CdsGame][1])
+    winning_sets(CdsGame, Permutation([2, 1, 3]), ONE)  # the next length
+    universe, table, _ = games._SET_MEMOS[CdsGame]
+    assert universe == range(1, 3) and "P|2 1 3||1" in table
+    assert all(len(key.split("|")[1].split()) == 3 for key in table)
     clear_memos()
     assert games._SET_MEMOS == {}
 
 
 def test_winning_set_memos_stay_within_their_bound(monkeypatch):
     alpha, favorable = tight_instance(8)
-    codes = tuple(sorted(favorable))
+    every = sum(1 << (c - 1) for c in favorable)
     clear_memos()
-    unbounded = winning_sets(CdsGame, alpha, ONE, codes)
+    unbounded = winning_sets(CdsGame, alpha, ONE)
     clear_memos()
     monkeypatch.setattr(games, "MEMO_SETS", 40)
-    assert winning_sets(CdsGame, alpha, ONE, codes) == unbounded
-    scope, tables, charged = games._SET_MEMOS[CdsGame]
-    assert 0 < charged <= 40 and sum(map(len, tables.values())) == charged
-    every = (1 << len(codes)) - 1  # A = B wins, and no B - {c} does
-    assert unbounded >> every & 1
-    assert not any(unbounded >> (every ^ (1 << i)) & 1 for i in range(len(codes)))
+    assert winning_sets(CdsGame, alpha, ONE) == unbounded
+    _, table, charged = games._SET_MEMOS[CdsGame]
+    assert 0 < charged <= 40 and len(table) == charged
+    assert unbounded >> every & 1  # A = B wins, and no B - {c} does
+    assert not any(unbounded >> (every ^ (1 << (c - 1))) & 1 for c in favorable)
     clear_memos()

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from cdsgame import suites
 from cdsgame.cyclegraph import strategic_pile
+from cdsgame.families import bound_prediction
+from cdsgame.games import CdsGame, GcdsGame
+from cdsgame.overlap import overlap_graph
 from cdsgame.permutations import Permutation
 from cdsgame.permutations import SizeBoundError
 from cdsgame.suites import SUITE_MAX_N, SUITE_NAMES, _fan_out, run_all, run_suite
@@ -130,6 +133,94 @@ def test_ranks_count_the_words_in_lexicographic_order():
 def test_bounds_suite_small():
     result = run_suite("bounds", max_n=4)
     assert result.ok
+
+
+# Each exhaustive suite fails on a wrong pile or a wrong verdict, and names
+# the word (and favorable set) where it is wrong.
+
+@pytest.mark.parametrize("word, code", [((2, 4, 1, 3), 2), ((3, 1, 4, 2), 3), ((3, 4, 1, 2), 2)])
+def test_pile_lemma_reports_a_flipped_pile_code(monkeypatch, word, code):
+    pile_table = suites._pile_table
+
+    def flipped(n):
+        table = pile_table(n)
+        if n == len(word):
+            table[suites._rank(word)] ^= 1 << (code - 1)
+        return table
+
+    monkeypatch.setattr(suites, "_pile_table", flipped)
+    result = run_suite("pile-lemma", max_n=4)
+    assert any(f"of {list(word)}:" in failure for failure in result.failures), result.failures
+
+
+def _flip_one_verdict(monkeypatch, game, state, favorable):
+    winning_sets = suites.winning_sets
+    bit = 1 << sum(1 << (c - 1) for c in favorable)
+
+    def flipped(g, st, mover):
+        won = winning_sets(g, st, mover)
+        return won ^ bit if g is game and st == state else won
+
+    monkeypatch.setattr(suites, "winning_sets", flipped)
+
+
+def test_bounds_reports_a_flipped_verdict(monkeypatch):
+    # Pile {1, 2, 3} with two favorable codes is a determined win for ONE.
+    _flip_one_verdict(monkeypatch, CdsGame, Permutation([2, 4, 1, 3]), {1, 3})
+    result = run_suite("bounds", max_n=4)
+    assert [f for f in result.failures if "perm=[2, 4, 1, 3] favorable=[1, 3]:" in f] == [
+        "perm=[2, 4, 1, 3] favorable=[1, 3]: rule "
+        f"{'+'.join(bound_prediction(3, 2).rules)} says ONE, solver says TWO"
+    ]
+    assert len(result.failures) == 1
+
+
+@pytest.mark.parametrize("game", [CdsGame, GcdsGame])
+def test_tight_reports_a_flipped_verdict(monkeypatch, game):
+    perm = Permutation([2, 4, 1, 3])  # its pile {1, 2, 3} is full
+    state = perm if game is CdsGame else overlap_graph(perm)
+    _flip_one_verdict(monkeypatch, game, state, {1, 3})
+    result = run_suite("tight", max_n=4)
+    # Other words of length 4 have the same overlap graph, so the graph
+    # game's flip shows at them too.
+    prefix = "full-pile correspondence fails at perm=[2, 4, 1, 3] favorable=[1, 3] mover="
+    named = [f for f in result.failures if f.startswith(prefix)]
+    assert len(named) == 2 and all("favorable=[1, 3] mover=" in f for f in result.failures)
+
+
+def test_run_all_pins_every_suites_document():
+    # The verify-sweep sizes: each suite's cases, failure count and notes.
+    got = {r.name: (r.cases, len(r.failures), r.notes)
+           for r in run_all(seed=0, max_n=5, samples=2000)}
+    assert got == {
+        "paper-examples": (50, 0, []),
+        "commutation": (2334, 0, [
+            "exhaustive: 335 permutation/move squares with n <= 5",
+            "sampled: 1999 random squares at n in 8..10, seed 0",
+        ]),
+        "pile-lemma": (3594, 0, [
+            "sortability, achievability, and removability exhaustive at n <= 5",
+            "per-move removal bound exhaustive at n <= 6; worst removal 2",
+            "moves that added pile codes: 0",
+        ]),
+        "chain-collapse": (60, 10, [
+            "every failing edge joins two odd glue vertices with complete "
+            "triangles on both sides; there the pivot completes a clique on "
+            "the masterlist instead of contracting the segment, because "
+            "cross-column pairs toggle (exactly as the worked pivot fixtures "
+            "require them to)",
+        ]),
+        "np-classification": (12, 0, ["chains m=1..6 classified N,P,N,P,N,P"]),
+        "bounds": (2341, 0, [
+            "rule families audited as mutually exclusive for pile sizes up to 64",
+            "solver comparisons on determined predictions at n <= 5: 197",
+        ]),
+        "tight": (73, 0, [
+            "full-pile game correspondence at n <= 5: 52 solved pairs",
+            "partial piles (no correspondence promised): 202 of 432 pairs disagree",
+        ]),
+        "formats": (112, 0, ["graph JSON round-trips: 50 graphs, seed 0"]),
+    }
 
 
 def test_np_suite_small():
