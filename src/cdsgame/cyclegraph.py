@@ -144,16 +144,22 @@ def strategic_pile(perm: Permutation) -> StrategicPile:
     edges.  If the walk returns to n -> n+1 first, the distinguished edges
     lie on different cycles and the pile is empty.
     """
-    black = _black_successors(perm.entries)
-    n = perm.n
+    return StrategicPile(_pile_codes(perm.entries))
+
+
+def _pile_codes(e: tuple[int, ...]) -> tuple[int, ...]:
+    """The pile codes of the word ``e`` over 1..n in walk order; ``e`` is
+    not checked."""
+    black = _black_successors(e)
+    n = len(e)
     codes: list[int] = []
     j = n
     while True:
         j = black[j + 1]
         if j == n:
-            return StrategicPile(())
+            return ()
         if j == 0:
-            return StrategicPile(tuple(codes))
+            return tuple(codes)
         codes.append(j)
 
 

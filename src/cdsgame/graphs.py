@@ -28,7 +28,8 @@ a pivot is one AND/AND-NOT of the rows of x and y, and each class member's
 row toggles against the union of the other two classes.  A pivot builds its
 graph from the masks over the parent's universe, without the validating
 constructor; the gcds solver plays on these graphs and renders its state
-keys from the bits (:meth:`Graph.key_text`).
+keys from the bits (:meth:`Graph.key_text`).  The isomorphism search reads
+the same rows, with a position's favorable set as a colour mask.
 """
 
 from __future__ import annotations
@@ -431,80 +432,62 @@ def apply_gcds2(g: Graph, edge) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism by invariant-pruned backtracking.
+# Isomorphism by invariant-pruned backtracking on the rows.  A vertex is its
+# bit index, and a position's favorable set is one more colour mask; an image
+# fits when its row meets the images so far in its mapped neighbours' images.
 
 _ISO_MAX_VERTICES = 30
 
 
-def _invariants(adj: Mapping[Label, frozenset],
-                tag: Mapping[Label, object] | None) -> dict[Label, tuple]:
-    out = {}
-    for v in adj:
-        degs = tuple(sorted(len(adj[u]) for u in adj[v]))
-        extra = tag[v] if tag is not None else None
-        out[v] = (len(adj[v]), degs, extra)
-    return out
-
-
-def _find_isomorphism(
-    g1: Graph,
-    g2: Graph,
-    tag1: Mapping[Label, object] | None = None,
-    tag2: Mapping[Label, object] | None = None,
-) -> dict | None:
+def _find_isomorphism(g1: Graph, g2: Graph, fav1: int = 0, fav2: int = 0) -> dict | None:
     if g1.n_vertices() != g2.n_vertices() or g1.n_edges() != g2.n_edges():
         return None
     if max(g1.n_vertices(), g2.n_vertices()) > _ISO_MAX_VERTICES:
         raise SizeBoundError(
             f"isomorphism search limited to {_ISO_MAX_VERTICES} vertices"
         )
-    adj1 = g1.adjacency()
-    adj2 = g2.adjacency()
-    inv1 = _invariants(adj1, tag1)
-    inv2 = _invariants(adj2, tag2)
+    rows1, rows2 = g1.rows, g2.rows
+    invs = []
+    for g, fav in ((g1, fav1), (g2, fav2)):
+        # Bit i's invariant: degree, sorted neighbour degrees, colour.
+        deg = [row.bit_count() for row in g.rows]
+        invs.append({i: (deg[i], tuple(sorted([deg[j] for j in _bits(g.rows[i])])), fav >> i & 1)
+                     for i in _bits(g.alive)})
+    inv1, inv2 = invs
     if sorted(inv1.values()) != sorted(inv2.values()):
         return None
 
     by_inv: dict[tuple, list] = {}
-    for u in adj2:  # label_key order, so each group is sorted
-        by_inv.setdefault(inv2[u], []).append(u)
+    for u, inv in inv2.items():  # bit order, so each group is sorted
+        by_inv.setdefault(inv, []).append(u)
 
     # Most-constrained vertices first keeps the branching factor small.
-    order = sorted(
-        adj1, key=lambda v: (len(by_inv[inv1[v]]), -inv1[v][0], label_key(v))
-    )
-    mapping: dict = {}
-    used: set = set()
+    order = sorted(inv1, key=lambda v: (len(by_inv[inv1[v]]), -inv1[v][0], v))
+    groups = [by_inv[inv1[v]] for v in order]
+    image = [0] * len(rows1)
 
-    def extend(i: int) -> bool:
+    def extend(i: int, mapped: int, used: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        for u in by_inv[inv1[v]]:
-            if u in used:
-                continue
-            ok = True
-            for w, t in mapping.items():
-                if (w in adj1[v]) != (t in adj2[u]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = u
-            used.add(u)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(u)
+        want = 0  # the images of v's mapped neighbours
+        for w in _bits(rows1[v] & mapped):
+            want |= 1 << image[w]
+        for u in groups[i]:
+            bit = 1 << u
+            if not used & bit and rows2[u] & used == want:
+                image[v] = u
+                if extend(i + 1, mapped | 1 << v, used | bit):
+                    return True
         return False
 
-    if not extend(0):
+    if not extend(0, 0, 0):
         return None
-    # Paranoia: a returned mapping must preserve edges in both directions.
-    assert all(g2.has_edge(mapping[a], mapping[b]) for a, b in g1.edge_list())
-    back = {u: v for v, u in mapping.items()}
-    assert all(g1.has_edge(back[a], back[b]) for a, b in g2.edge_list())
-    return dict(mapping)
+    # Paranoia: every row maps onto its image's row; under a bijection this
+    # keeps edges in both directions.
+    assert all(sum(1 << image[w] for w in _bits(rows1[v])) == rows2[image[v]] for v in order)
+    labels1, labels2 = g1.universe.labels, g2.universe.labels
+    return {labels1[v]: labels2[image[v]] for v in order}
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> dict | None:
@@ -527,9 +510,10 @@ class Position(Record):
 
 
 def positions_isomorphic(p1: Position, p2: Position) -> dict | None:
-    """Graph isomorphism that maps favorable vertices exactly onto favorable."""
+    """Graph isomorphism that maps favorable vertices exactly onto favorable:
+    the favorable sets' masks are the search's colours."""
     if len(p1.favorable) != len(p2.favorable):
         return None
-    tag1 = {v: v in p1.favorable for v in p1.graph.vertices}
-    tag2 = {v: v in p2.favorable for v in p2.graph.vertices}
-    return _find_isomorphism(p1.graph, p2.graph, tag1, tag2)
+    g1, g2 = p1.graph, p2.graph
+    return _find_isomorphism(g1, g2, g1.universe.mask(p1.favorable),
+                             g2.universe.mask(p2.favorable))

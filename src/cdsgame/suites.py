@@ -15,10 +15,12 @@ import json
 import os
 import random
 import time
+from functools import cache
 from itertools import combinations, permutations as all_words
 from math import comb
 
 from .cyclegraph import (
+    _pile_codes,
     alternating_cycles,
     build_cycle_graph,
     is_sortable,
@@ -53,6 +55,7 @@ from .games import (
 from .graphs import (
     Graph,
     Position,
+    _bits,
     apply_gcds,
     apply_gcds2,
     are_isomorphic,
@@ -327,27 +330,27 @@ def _suite_paper_examples(rec, *, seed, max_n, max_m, samples, threads):
 # Commutation: sorting a permutation and pivoting its overlap graph commute.
 # ---------------------------------------------------------------------------
 
-def _commutation_worker(chunk):
+def _commutation_worker(squares):
+    """Check each (perm, p, q) square; the count checked and the failures."""
+    checked = 0
     failures = []
-    for word, p, q in chunk:
-        if not check_commutation(Permutation(word), p, q):
-            failures.append(f"commutation fails at perm={list(word)} move=({p},{q})")
-    return len(chunk), failures
+    for perm, p, q in squares:
+        checked += 1
+        if not check_commutation(perm, p, q):
+            failures.append(f"commutation fails at perm={list(perm)} move=({p},{q})")
+    return checked, failures
 
 
 def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
     lim = 6 if max_n is None else max_n
-    squares = 0
     start = time.perf_counter()
-    for n in range(2, lim + 1):
-        for word in all_words(range(1, n + 1)):
-            perm = Permutation(word)
-            for p, q in _move_list(perm):
-                squares += 1
-                rec.check(
-                    check_commutation(perm, p, q),
-                    lambda w=word, pp=p, qq=q: f"commutation fails at perm={list(w)} move=({pp},{qq})",
-                )
+    squares, failures = _commutation_worker(
+        (perm, p, q)
+        for n in range(2, lim + 1)
+        for perm in map(Permutation, all_words(range(1, n + 1)))
+        for p, q in _move_list(perm)
+    )
+    rec.bulk(squares, failures)
     rec.phases["exhaustive"] = time.perf_counter() - start
     rec.note(f"exhaustive: {squares} permutation/move squares with n <= {lim}")
 
@@ -359,10 +362,11 @@ def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
         n = rng.choice((8, 9, 10))
         word = list(range(1, n + 1))
         rng.shuffle(word)
-        moves = _move_list(Permutation(word))
+        perm = Permutation(word)
+        moves = _move_list(perm)
         if not moves:
             continue
-        payload.append((tuple(word), *moves[rng.randrange(len(moves))]))
+        payload.append((perm, *moves[rng.randrange(len(moves))]))
     for checked, failures in _fan_out(_commutation_worker, payload, threads):
         rec.bulk(checked, failures)
     rec.phases["sampled"] = time.perf_counter() - start
@@ -387,21 +391,19 @@ def _rank(word: tuple[int, ...]) -> int:
     return rank
 
 
-def _pile_table(n: int) -> bytearray:
+@cache
+def _pile_table(n: int) -> bytes:
     """The pile of every word of length n <= 9 as a mask (bit c-1 for code
-    c), at the word's lexicographic rank: ``all_words`` yields rank order."""
+    c), at the word's lexicographic rank: ``all_words`` yields rank order.
+    Each length's table is built once per process."""
     assert n <= 9, "a byte holds the codes 1..8"
-    table = bytearray()
-    for word in all_words(range(1, n + 1)):
-        mask = 0
-        for c in strategic_pile(Permutation(word)):
-            mask |= 1 << (c - 1)
-        table.append(mask)
-    return table
+    return bytes(sum(1 << (c - 1) for c in _pile_codes(word))
+                 for word in all_words(range(1, n + 1)))
 
 
-def _codes(mask: int) -> frozenset[int]:
-    return frozenset(c for c in range(1, mask.bit_length() + 1) if mask >> (c - 1) & 1)
+def _codes(mask: int) -> list[int]:
+    """The codes of a mask (bit c-1 for code c), ascending."""
+    return [i + 1 for i in _bits(mask)]
 
 
 def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
@@ -454,7 +456,7 @@ def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
                 f"pile says {_fixed_points(b, n)}",
             )
             if before.bit_count() >= 2:
-                for c in sorted(_codes(before)):
+                for c in _codes(before):
                     rec.check(
                         dropped >> (c - 1) & 1,
                         lambda w=word, cc=c: f"pile code {cc} of {list(w)} is not removable by any single move",
@@ -572,17 +574,12 @@ def _suite_bounds(rec, *, seed, max_n, max_m, samples, threads):
                 checked = comb(k, r)
                 total += checked
                 wrong = within[pile] & sizes[r] & (~won if pred.verdict == ONE else won)
-                failures = []
-                if wrong:
-                    for combo in combinations(sorted(_codes(pile)), r):
-                        s = sum(1 << (c - 1) for c in combo)
-                        if wrong >> s & 1:
-                            failures.append(
-                                f"perm={list(word)} favorable={list(combo)}: rule "
-                                f"{'+'.join(pred.rules)} says {pred.verdict}, "
-                                f"solver says {_winner(won, s)}"
-                            )
-                rec.bulk(checked, failures)
+                rec.bulk(checked, [
+                    f"perm={list(word)} favorable={_codes(s)}: rule "
+                    f"{'+'.join(pred.rules)} says {pred.verdict}, "
+                    f"solver says {_winner(won, s)}"
+                    for s in _bits(wrong)
+                ])
     rec.phases["solver"] = time.perf_counter() - start
     rec.note(f"solver comparisons on determined predictions at n <= {lim}: {total}")
 
@@ -661,20 +658,14 @@ def _suite_tight(rec, *, seed, max_n, max_m, samples, threads):
                 partial_disagreements += sum(map(int.bit_count, differ))
                 continue
             full_pairs += pairs
-            failures = []
-            if any(differ):
-                codes = sorted(_codes(pile))
-                for r in range(k + 1):
-                    for combo in combinations(codes, r):
-                        s = sum(1 << (c - 1) for c in combo)
-                        for mover, (w_perm, w_graph) in won.items():
-                            if (w_perm ^ w_graph) >> s & 1:
-                                failures.append(
-                                    f"full-pile correspondence fails at perm={list(word)} "
-                                    f"favorable={list(combo)} mover={mover}: "
-                                    f"{_winner(w_perm, s)} vs {_winner(w_graph, s)}"
-                                )
-            rec.bulk(pairs, failures)
+            rec.bulk(pairs, [
+                f"full-pile correspondence fails at perm={list(word)} "
+                f"favorable={_codes(s)} mover={mover}: "
+                f"{_winner(w_perm, s)} vs {_winner(w_graph, s)}"
+                for s in _bits(differ[0] | differ[1])
+                for mover, (w_perm, w_graph) in won.items()
+                if (w_perm ^ w_graph) >> s & 1
+            ])
     rec.phases["exhaustive"] = time.perf_counter() - start
     rec.note(f"full-pile game correspondence at n <= {lim}: {full_pairs} solved pairs")
     rec.note(

@@ -105,6 +105,19 @@ def test_tight_instance_arithmetic_and_isomorphism():
         )
 
 
+def test_tight_instance_favorable_sets_are_pinned():
+    # B_n follows the first mapping the isomorphism search returns.
+    expected = [3, 4]
+    for n in range(8, 29, 4):
+        assert tight_instance(n)[1] == frozenset(expected), n
+        expected.append(n)
+
+
+def test_chain_to_alpha_overlap_mapping_is_pinned():
+    mapping = are_isomorphic(gen_chain(3), overlap_graph(gen_alpha(8)))
+    assert list(mapping.items()) == [(4, 4), (3, 1), (5, 7), (1, 2), (2, 3), (6, 5), (7, 6)]
+
+
 def test_tight_instance_rejects_bad_sizes():
     for bad in (7, 10, 4):
         with pytest.raises(ValueError):

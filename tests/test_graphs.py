@@ -453,3 +453,79 @@ def test_positions_isomorphic_finds_relabelings():
         h = g.relabel(mapping)
         image = frozenset(mapping[v] for v in favorable)
         assert positions_isomorphic(Position(g, favorable), Position(h, image))
+
+
+# The search against networkx's graph atlas (every graph up to 7 vertices,
+# one per isomorphism class): each graph is tried against every atlas graph
+# of its size, relabelled by a seeded permutation, and each favorable subset
+# against its image and against a random subset of the same size.
+
+def _atlas(sizes, seed):
+    """networkx and, per atlas graph with a size in ``sizes``: the graph, as
+    networkx and as a Graph, then the same relabelled onto 10.. in a seeded
+    order, and the label map."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    out = []
+    for a in nx.graph_atlas_g():
+        if len(a) in sizes:
+            relabel = dict(zip(a, rng.sample(range(10, 10 + len(a)), len(a))))
+            b = nx.relabel_nodes(a, relabel)
+            out.append((a, Graph(a.nodes, a.edges), b, Graph(b.nodes, b.edges), relabel))
+    return nx, out
+
+
+def _assert_isomorphism(mapping, g, h, favorable=frozenset(), image=frozenset()):
+    assert sorted(mapping) == g.vertex_list()
+    assert sorted(mapping.values()) == h.vertex_list()
+    assert {frozenset(map(mapping.get, e)) for e in g.edges} == h.edges
+    assert {mapping[v] for v in favorable} == image
+
+
+def _check_atlas_pairs(sizes):
+    nx, atlas = _atlas(sizes, seed=4)
+    for a, g, _, _, _ in atlas:
+        for _, _, b, h, _ in atlas:
+            if len(b) != len(a):
+                continue
+            mapping = are_isomorphic(g, h)
+            assert (mapping is not None) == nx.is_isomorphic(a, b)
+            if mapping is not None:
+                _assert_isomorphism(mapping, g, h)
+
+
+def _check_atlas_positions(sizes):
+    nx, atlas = _atlas(sizes, seed=5)
+    rng = random.Random(6)
+    colour = nx.algorithms.isomorphism.categorical_node_match("fav", False)
+    for a, g, b, h, relabel in atlas:
+        for r in range(len(a) + 1):
+            for favorable in map(frozenset, combinations(a, r)):
+                image = frozenset(relabel[v] for v in favorable)
+                mapping = positions_isomorphic(Position(g, favorable), Position(h, image))
+                _assert_isomorphism(mapping, g, h, favorable, image)
+                other = frozenset(rng.sample(list(b), r))
+                mapping = positions_isomorphic(Position(g, favorable), Position(h, other))
+                nx.set_node_attributes(a, {v: v in favorable for v in a}, "fav")
+                nx.set_node_attributes(b, {v: v in other for v in b}, "fav")
+                assert (mapping is not None) == nx.is_isomorphic(a, b, node_match=colour)
+                if mapping is not None:
+                    _assert_isomorphism(mapping, g, h, favorable, other)
+
+
+def test_are_isomorphic_agrees_with_networkx_on_the_atlas_up_to_six_vertices():
+    _check_atlas_pairs(range(7))
+
+
+def test_positions_isomorphic_agrees_with_networkx_on_the_atlas_up_to_six_vertices():
+    _check_atlas_positions(range(7))
+
+
+@pytest.mark.slow
+def test_are_isomorphic_agrees_with_networkx_on_the_atlas_at_seven_vertices():
+    _check_atlas_pairs((7,))
+
+
+@pytest.mark.slow
+def test_positions_isomorphic_agrees_with_networkx_on_the_atlas_at_seven_vertices():
+    _check_atlas_positions((7,))

@@ -121,7 +121,7 @@ def pile_tables():
 def test_pile_table_entries_are_the_piles_at_each_words_rank(pile_tables, word):
     word = tuple(word)
     table = pile_tables[len(word)]
-    assert suites._codes(table[suites._rank(word)]) == strategic_pile(Permutation(word)).as_set()
+    assert set(suites._codes(table[suites._rank(word)])) == strategic_pile(Permutation(word)).as_set()
 
 
 def test_ranks_count_the_words_in_lexicographic_order():
@@ -143,7 +143,7 @@ def test_pile_lemma_reports_a_flipped_pile_code(monkeypatch, word, code):
     pile_table = suites._pile_table
 
     def flipped(n):
-        table = pile_table(n)
+        table = bytearray(pile_table(n))
         if n == len(word):
             table[suites._rank(word)] ^= 1 << (code - 1)
         return table
