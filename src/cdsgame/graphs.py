@@ -433,8 +433,9 @@ def apply_gcds2(g: Graph, edge) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Isomorphism by invariant-pruned backtracking on the rows.  A vertex is its
-# bit index, and a position's favorable set is one more colour mask; an image
-# fits when its row meets the images so far in its mapped neighbours' images.
+# bit index and a position's favorable set is one more colour mask.  A
+# candidate u for v fits when u's row meets the images so far exactly in the
+# images of v's mapped neighbours.
 
 _ISO_MAX_VERTICES = 30
 
