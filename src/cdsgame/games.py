@@ -10,57 +10,56 @@ Both games alternate moves between players ONE and TWO until no move remains.
   when the graph is edgeless.  ONE wins when the surviving vertex set is
   nonempty and contained in A.
 
-Both games are finite alternating win/loss games, and one engine solves
-them.  A game object (CdsGame, GcdsGame) holds the favorable set, takes a
-bare Permutation or a :class:`~cdsgame.graphs.Graph` as the state and
-supplies what the engine reads: ``key(state, mover)``, ``outcome(state)``
-(the winner at a terminal, else None), ``moves(state)`` (the state's
-successor-memo entry: its sorted move list and a list of the children made
-so far, each made by ``make(state, move)`` on first use, see
-:func:`successor`) and ``variant(state, depth)`` (a natural number every
-move lowers).  A game's terminal rule is its ``outcome``:
-:func:`cds_terminal_winner` and :func:`gcds_terminal_winner` call it, and
-``needs(state, root)`` states the same rule for every favorable set at
-once (None off a terminal, else the mask of the fixed point's code or of
-the graph's survivors, which A must include for ONE to win; ONE wins for no
-A where the mask is 0).  Such a mask numbers ``universe(root)``: bit c-1 is
-code c of a word, bit i is label i of a graph's universe.  :func:`solve_cds`
-and :func:`solve_gcds` are the size-checked public solvers.  A gcds state is
-a graph: its vertices and adjacency rows are bit masks over the root graph's
-labels, and a move pivots them with mask operations into a child over the
-same labels, without the validating constructor (graphs.py).  A graph's key
-text is rendered from the bits once, and the mask of a favorable set is kept,
-per set, on the universe that owns the bits; :func:`graph_state_key` reads
-both.  The gcds successor
-memo is keyed by that text, so roots with different label sets share entries
-where both label sets are plain (see graphs.py; other graphs are keyed by
-their bits and universe); its moves are label pairs, which ``make`` maps
-through the state's own universe.  The search builds only the children it
-visits, in move order, and stops at the first winning one.  Each of the two
-successor memos is shared by every solve in the process, and the cds memo
-also by :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the
-cds move graph through ``CdsGame.moves`` and :func:`successor`.  A memo charges
-each state its full fan-out and is emptied when a new state would take the
-charge past MEMO_CHILDREN (2**16), so it never holds more children than that
-or one state's fan-out; :func:`clear_memos` empties both memos and
-:func:`memo_stats` reports on them.  :func:`winning_sets` walks the same
-memos once for every favorable set: a state's value is an int with one bit
-per favorable set, set where ONE wins, read at a terminal off the mask
-``needs`` names and combined by OR where ONE moves and by AND where TWO
-moves.  Its values are kept for roots of one universe, within MEMO_SETS,
-and :func:`clear_memos` drops them too; the exhaustive suites read their
-verdicts from them.  The search is negamax with memoisation over the exact
-labelled state; no symmetry reduction is applied, so cache keys are
-reproducible strings and can be persisted to disk and reloaded across runs.
-The principal variation always plays the least winning move for the side to
-move (least move at all in lost positions), and every solve asserts that its
-terminal agrees with the reported winner.
+Both games are finite alternating win/loss games, and one engine solves them.
+A game object (CdsGame, GcdsGame) holds the favorable set, takes a bare
+Permutation or a :class:`~cdsgame.graphs.Graph` as the state and supplies what
+the engine reads: ``key(state, mover)``, ``outcome(state)`` (the winner at a
+terminal, else None), ``moves(state)`` (the state's successor-memo entry: its
+sorted move list and a list of the children made so far, each made by
+``make(state, move)`` on first use, see :func:`successor`) and
+``variant(state, depth)`` (a natural number every move lowers).  A game's
+terminal rule is its ``outcome``: :func:`cds_terminal_winner` and
+:func:`gcds_terminal_winner` call it, and ``needs(state)`` states the same
+rule for every favorable set at once (None off a terminal, else the mask of
+the fixed point's code or of the graph's survivors, which A must include for
+ONE to win; ONE wins for no A where the mask is 0).  Such a mask numbers
+``universe(state)``: bit c-1 is code c of a word, bit i is label i of a
+graph's universe.  :func:`solve_cds` and :func:`solve_gcds` are the
+size-checked public solvers.  A gcds state is a graph: its vertices and
+adjacency rows are bit masks over the root graph's labels, and a move pivots
+them with mask operations into a child over the same labels, without the
+validating constructor (graphs.py).  A graph's key text is rendered from the
+bits once, and the mask of the last favorable set asked for is kept on the
+universe that owns the bits; :func:`graph_state_key` reads both.  The gcds
+successor memo is keyed by a graph's bits and its universe, and universes are
+equal when their labels are, type by type (see graphs.py), so a root rebuilt
+on the same labels meets the same entries and every child a walk meets numbers
+its root's labels.  The search builds only the children it visits, in move
+order, and stops at the first winning one.  Each of the two successor memos is
+shared by every solve in the process, and the cds memo also by
+:func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the cds move
+graph through ``CdsGame.moves`` and :func:`successor`.  A memo charges each
+state its full fan-out and is emptied when a new state would take the charge
+past MEMO_CHILDREN (2**16), so it never holds more children than that or one
+state's fan-out; :func:`clear_memos` empties both memos and :func:`memo_stats`
+reports on them.  :func:`winning_sets` walks the same memos once for every
+favorable set: a state's value is an int with one bit per favorable set, set
+where ONE wins, read at a terminal off the mask ``needs`` names and combined
+by OR where ONE moves and by AND where TWO moves.  Its values are kept for
+roots of one universe, within MEMO_SETS, and :func:`clear_memos` drops them
+too; the exhaustive suites read their verdicts from them.  The search is
+negamax with memoisation over the exact labelled state; no symmetry reduction
+is applied, so cache keys are reproducible strings and can be persisted to
+disk and reloaded across runs.  The principal variation always plays the least
+winning move for the side to move (least move at all in lost positions), and
+every solve asserts that its terminal agrees with the reported winner.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+from operator import attrgetter
 
 from .graphs import Graph, Position, _bits
 from .permutations import (
@@ -365,7 +364,7 @@ def _successor_memo(moves_of, key_of=None):
 
 
 _cds_successors = _successor_memo(_move_list)
-_gcds_successors = _successor_memo(Graph.edge_list, Graph.memo_key)
+_gcds_successors = _successor_memo(Graph.edge_list, attrgetter("alive", "rows", "universe"))
 _MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
 
 
@@ -412,10 +411,10 @@ class CdsGame(Record):
         return ONE if code and code in self.favorable else TWO
 
     @staticmethod
-    def needs(perm: Permutation, root: Permutation) -> int | None:
+    def needs(perm: Permutation) -> int | None:
         """The bits a favorable set must hold for ONE to win at the terminal
         ``perm``: its code's, or 0 for the identity (ONE wins for no set);
-        None when ``perm`` is not terminal.  ``root`` numbers codes alike."""
+        None when ``perm`` is not terminal."""
         if not is_fixed_point(perm):
             return None
         code = perm.entries[0] - 1
@@ -454,18 +453,13 @@ class GcdsGame(Record):
         return ONE if alive and not alive & ~graph.universe.mask(self.favorable) else TWO
 
     @staticmethod
-    def needs(graph: Graph, root: Graph) -> int | None:
-        """The mask over ``root``'s labels of the survivors of the terminal
-        ``graph``, which a favorable set must include for ONE to win (none
-        survive: ONE wins for no set); None when ``graph`` has an edge.  The
-        successor memo shares children among plain universes by key text,
-        so ``graph`` may number other labels: its survivors are renumbered."""
+    def needs(graph: Graph) -> int | None:
+        """The survivors of the terminal ``graph``, which a favorable set
+        must include for ONE to win (none survive: ONE wins for no set);
+        None when ``graph`` has an edge."""
         if any(graph.rows):
             return None
-        own, index = graph.universe, root.universe.index
-        if own.labels == root.universe.labels:
-            return graph.alive
-        return sum(1 << index[v] for v in own.labels_in(graph.alive))
+        return graph.alive
 
     @staticmethod
     def universe(graph: Graph) -> tuple:
@@ -598,14 +592,13 @@ def winning_sets(game, state, mover: str) -> int:
     cost = 1 + ((1 << k) >> 11)
     blank = game(frozenset())
     key_of, needs, moves = blank.key, game.needs, game.moves
-    root = state
 
     def walk(state, mover: str) -> int:
         key = key_of(state, mover)
         value = table.get(key)
         if value is not None:
             return value
-        need = needs(state, root)
+        need = needs(state)
         if need is not None:
             value = full if need else 0
             for i in _bits(need):

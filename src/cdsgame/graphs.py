@@ -28,8 +28,10 @@ a pivot is one AND/AND-NOT of the rows of x and y, and each class member's
 row toggles against the union of the other two classes.  A pivot builds its
 graph from the masks over the parent's universe, without the validating
 constructor; the gcds solver plays on these graphs and renders its state
-keys from the bits (:meth:`Graph.key_text`).  The isomorphism search reads
-the same rows, with a position's favorable set as a colour mask.
+keys from the bits (:meth:`Graph.key_text`).  Universes are equal when
+their labels are, type by type, and graphs over equal universes compare by
+their bits.  The isomorphism search reads the same rows, with a position's
+favorable set as a colour mask.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return False
-        if self.universe.labels == other.universe.labels:  # bits mean the same labels
+        if self.universe == other.universe:  # bits mean the same labels
             return self.alive == other.alive and self.rows == other.rows
         return self._label_sets() == other._label_sets()
 
@@ -220,15 +222,6 @@ class Graph:
             _set_text(self, text)
         return text
 
-    def memo_key(self):
-        """The key text, which identifies the labelled graph among graphs of
-        plain universes.  Otherwise one text can stand for different labels
-        in two universes (1 in one, "1" in the other), and the memo keeps
-        moves as labels, so the key is the bits and the universe."""
-        if self.universe.plain:
-            return self.key_text()
-        return self.alive, self.rows, self.universe
-
     def relabel(self, mapping: Mapping[Label, Label]) -> "Graph":
         return Graph(
             (mapping[v] for v in self.vertex_list()),
@@ -286,13 +279,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _is_int_text(s: str) -> bool:
-    try:
-        return str(int(s)) == s
-    except ValueError:
-        return False
-
-
 class _Universe:
     """What the bits of a family of graphs stand for: a root graph's labels
     in ``label_key`` order, the label -> bit index map, and each label's key
@@ -301,26 +287,28 @@ class _Universe:
     ``str`` (1 and "1"): then every label is keyed by its ``repr``, so that
     no two states of the universe share a key.
 
-    The universe is *plain* when every label is an int or a str that is no
-    int's text.  A key string then names the same label in every plain
-    universe, so graphs of two plain universes with the same key text are
-    the same labelled graph.
-
-    The universe also keeps the mask of each label set it is asked for
-    (:meth:`mask`), so a set's mask holds for every graph over these bits,
-    whichever root or game first asked for it.
+    Two universes are equal when their labels are, label by label and type
+    by type (a universe of 1 and one of True differ).  Graphs over equal
+    universes number the same labels alike, whichever root built them, so
+    their bits can be compared and keyed as they are.
     """
 
-    __slots__ = ("labels", "index", "plain", "_names", "_masks")
+    __slots__ = ("labels", "index", "_typed", "_hash", "_names", "_masks")
 
     def __init__(self, vertices: Collection[Label]):
         labels = sorted(vertices, key=label_key)
         self.labels = tuple(labels)
         self.index = dict(zip(labels, range(len(labels))))
-        self.plain = all(type(v) is int or (type(v) is str and not _is_int_text(v))
-                         for v in labels)
+        self._typed = tuple([(type(v), v) for v in labels])
+        self._hash = hash(self._typed)
         self._names: tuple | None = None
         self._masks: dict[frozenset, int] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Universe) and self._typed == other._typed
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def names(self) -> tuple:
@@ -337,7 +325,8 @@ class _Universe:
 
     def mask(self, labels: frozenset) -> int:
         """The bits of those of ``labels`` that are in the universe, kept
-        per set: the solvers ask for one favorable set's mask at every node."""
+        for the last set asked: the solvers ask for one favorable set's mask
+        at every node."""
         found = self._masks.get(labels)
         if found is None:
             index, found = self.index, 0
@@ -345,7 +334,7 @@ class _Universe:
                 i = index.get(v)
                 if i is not None:
                     found |= 1 << i
-            self._masks[labels] = found
+            self._masks = {labels: found}
         return found
 
     def labels_in(self, mask: int) -> frozenset:

@@ -812,11 +812,14 @@ def run_suite(
 
     ``max_n`` bounds permutation sizes, ``max_m`` bounds chain lengths,
     ``samples`` sizes the randomized blocks, and ``seed`` fixes them.
-    Unknown names raise ``ValueError``; a ``max_n`` above
-    :data:`SUITE_MAX_N` raises ``SizeBoundError`` before any work.
+    Unknown names and negative sizes raise ``ValueError``, and a ``max_n``
+    above :data:`SUITE_MAX_N` raises ``SizeBoundError``, before any work.
     """
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    for knob, value in (("max_n", max_n), ("max_m", max_m), ("samples", samples)):
+        if value is not None and value < 0:
+            raise ValueError(f"{knob} must be >= 0, got {value}")
     if max_n is not None and max_n > SUITE_MAX_N:
         raise SizeBoundError(f"suites limited to max_n <= {SUITE_MAX_N}, got {max_n}")
     result = SuiteResult(name)

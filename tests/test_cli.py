@@ -294,6 +294,13 @@ def test_verify_refuses_an_oversized_max_n_at_once(capsys):
         assert code == 4 and doc["error"]["type"] == "size-bound", suite
 
 
+def test_verify_refuses_negative_sizes_at_once(capsys):
+    for option, knob in (("--max-n", "max_n"), ("--max-m", "max_m"), ("--samples", "samples")):
+        code, doc = run_cli(capsys, "verify", "all", option, "-2")
+        assert code == 2 and doc["error"] == {"type": "ValueError",
+                                              "message": f"{knob} must be >= 0, got -2"}
+
+
 def test_verify_output_is_deterministic(capsys):
     code1, doc1 = run_cli(capsys, "verify", "formats", "--seed", "5")
     code2, doc2 = run_cli(capsys, "verify", "formats", "--seed", "5")

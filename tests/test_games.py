@@ -605,7 +605,33 @@ def test_memo_shared_across_label_sets_gives_fresh_reports():
             reports, misses = solves(pair[second])
             assert reports == fresh[second][0]
             shared += misses < fresh[second][1]
-    assert shared  # some second solve used entries that the first one built
+    # The memo keys a graph by its universe, so no entry crosses label sets.
+    assert not shared
+    clear_memos()
+
+
+def test_a_root_rebuilt_on_the_same_labels_meets_the_same_memo_entries():
+    clear_memos()
+    favorable = gen_favorable(4)
+    first, rebuilt = gen_chain(4), gen_chain(4)
+    assert first.universe is not rebuilt.universe
+    reports = [solve_gcds(GcdsState(Position(first, favorable), mover)) for mover in (ONE, TWO)]
+    misses = memo_stats()["gcds"]["misses"]
+    assert [solve_gcds(GcdsState(Position(rebuilt, favorable), mover))
+            for mover in (ONE, TWO)] == reports
+    assert memo_stats()["gcds"]["misses"] == misses
+    clear_memos()
+
+
+def test_labels_equal_across_types_keep_their_own_moves():
+    # (0, True) == (0, 1), but the universes differ by type, so neither
+    # solve reads the other's move list and each names its own labels.
+    bools, ints = Graph([0, True], [(0, True)]), Graph([0, 1], [(0, 1)])
+    for order in ((bools, ints), (ints, bools)):
+        clear_memos()
+        for graph in order:
+            report = solve_gcds(GcdsState(Position(graph, frozenset()), ONE))
+            assert repr(report.principal_variation) == repr(tuple(graph.edge_list()))
     clear_memos()
 
 
@@ -817,8 +843,9 @@ def test_winning_sets_keep_two_universes_of_one_size_apart():
 
 def test_winning_sets_renumber_children_made_over_another_universe():
     # Solving the larger graph makes and expands the child "3,4,5|3-4,4-5"
-    # over (1, ..., 5); the smaller root shares that memo entry, whose
-    # terminals keep their bits over (1, ..., 5), where 3 is bit 2, not 0.
+    # over (1, ..., 5), where 3 is bit 2; the smaller root, with that key
+    # text, numbers 3 as bit 0.  Its walk must not read the larger one's
+    # entries or terminals, which the memo's universe key keeps apart.
     clear_memos()
     larger = Graph([1, 2, 3, 4, 5], [(1, 2), (3, 4), (4, 5)])
     for mover in (ONE, TWO):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdsgame.cyclegraph import SizeBoundError
+from cdsgame.families import gen_chain
 from cdsgame.graphs import (
     Graph,
     NotAnEdgeError,
@@ -453,6 +454,32 @@ def test_positions_isomorphic_finds_relabelings():
         h = g.relabel(mapping)
         image = frozenset(mapping[v] for v in favorable)
         assert positions_isomorphic(Position(g, favorable), Position(h, image))
+
+
+def test_positions_isomorphic_keeps_one_mask_per_universe():
+    # Every favorable subset of the 5-triangle chain against its image on a
+    # relabelled copy: each universe keeps the last set's mask, not 2,048.
+    chain = gen_chain(5)
+    names = {v: f"v{v}" for v in chain.vertices}
+    renamed = chain.relabel(names)
+    labels = chain.vertex_list()
+    for s in range(1 << len(labels)):
+        favorable = frozenset(v for i, v in enumerate(labels) if s >> i & 1)
+        image = frozenset(names[v] for v in favorable)
+        assert positions_isomorphic(Position(chain, favorable), Position(renamed, image))
+    assert len(chain.universe._masks) <= 1 and len(renamed.universe._masks) <= 1
+
+
+def test_universes_are_equal_when_their_typed_labels_are():
+    one, again = Graph([1, 2, "x"], [(1, "x")]), Graph(["x", 2, 1], [(1, "x")])
+    assert one.universe is not again.universe
+    assert one.universe == again.universe and hash(one.universe) == hash(again.universe)
+    # 0, 1 and 0, True (or 1.0) are equal tuples of labels but number apart.
+    ints, bools, floats = Graph([0, 1]), Graph([0, True]), Graph([0, 1.0])
+    assert ints.universe.labels == bools.universe.labels == floats.universe.labels
+    assert ints.universe != bools.universe and ints.universe != floats.universe
+    assert bools.universe != floats.universe
+    assert ints.universe != ints.universe.labels
 
 
 # The search against networkx's graph atlas (every graph up to 7 vertices,

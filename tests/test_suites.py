@@ -263,6 +263,18 @@ def test_max_n_above_the_bound_is_refused_before_any_work(monkeypatch):
     assert seen == [SUITE_MAX_N] * len(SUITE_NAMES)
 
 
+def test_negative_sizes_are_refused_before_any_work(monkeypatch):
+    seen = []
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(suites._RUNNERS, name, lambda rec, **knobs: seen.append(knobs))
+    for name in SUITE_NAMES:
+        for knob in ("max_n", "max_m", "samples"):
+            with pytest.raises(ValueError, match=f"{knob} must be >= 0, got -1"):
+                run_suite(name, **{knob: -1})
+        assert run_suite(name, max_n=0, max_m=0, samples=0).ok  # zero stays legal
+    assert len(seen) == len(SUITE_NAMES)
+
+
 @pytest.mark.slow
 def test_commutation_is_exhaustive_at_n_seven():
     result = run_suite("commutation", max_n=7, samples=0)
