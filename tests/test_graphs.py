@@ -474,7 +474,7 @@ def test_universes_are_equal_when_their_typed_labels_are():
     one, again = Graph([1, 2, "x"], [(1, "x")]), Graph(["x", 2, 1], [(1, "x")])
     assert one.universe is not again.universe
     assert one.universe == again.universe and hash(one.universe) == hash(again.universe)
-    # 0, 1 and 0, True (or 1.0) are equal tuples of labels but number apart.
+    # Labels 0, 1 and 0, True (or 0, 1.0) are equal tuples but different universes.
     ints, bools, floats = Graph([0, 1]), Graph([0, True]), Graph([0, 1.0])
     assert ints.universe.labels == bools.universe.labels == floats.universe.labels
     assert ints.universe != bools.universe and ints.universe != floats.universe
