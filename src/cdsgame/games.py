@@ -19,40 +19,37 @@ sorted move list and a list of the children made so far, each made by
 ``make(state, move)`` on first use, see :func:`successor`) and
 ``variant(state, depth)`` (a natural number every move lowers).  A game's
 terminal rule is its ``outcome``: :func:`cds_terminal_winner` and
-:func:`gcds_terminal_winner` call it, and ``needs(state)`` states the same
-rule for every favorable set at once (None off a terminal, else the mask of
-the fixed point's code or of the graph's survivors, which A must include for
-ONE to win; ONE wins for no A where the mask is 0).  Such a mask numbers
+:func:`gcds_terminal_winner` call it, and ``needs(state)`` states it for every
+favorable set at once, as the mask A must include for ONE to win, over
 ``universe(state)``: bit c-1 is code c of a word, bit i is label i of a
-graph's universe.  :func:`solve_cds` and :func:`solve_gcds` are the
-size-checked public solvers.  A gcds state is a graph: its vertices and
-adjacency rows are bit masks over the root graph's labels, and a move pivots
-them with mask operations into a child over the same labels, without the
-validating constructor (graphs.py).  A graph's key text is rendered from the
-bits once, and the mask of the last favorable set asked for is kept on the
-universe that owns the bits; :func:`graph_state_key` reads both.  The gcds
-successor memo is keyed by a graph's bits and its universe, and universes are
-equal when their labels are, type by type (see graphs.py), so a root rebuilt
-on the same labels meets the same entries and every child a walk meets numbers
-its root's labels.  The search builds only the children it visits, in move
-order, and stops at the first winning one.  Each of the two successor memos is
-shared by every solve in the process, and the cds memo also by
-:func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the cds move
-graph through ``CdsGame.moves`` and :func:`successor`.  A memo charges each
-state its full fan-out and is emptied when a new state would take the charge
-past MEMO_CHILDREN (2**16), so it never holds more children than that or one
-state's fan-out; :func:`clear_memos` empties both memos and :func:`memo_stats`
-reports on them.  :func:`winning_sets` walks the same memos once for every
-favorable set: a state's value is an int with one bit per favorable set, set
-where ONE wins, read at a terminal off the mask ``needs`` names and combined
-by OR where ONE moves and by AND where TWO moves.  Its values are kept for
-roots of one universe, within MEMO_SETS, and :func:`clear_memos` drops them
-too; the exhaustive suites read their verdicts from them.  The search is
-negamax with memoisation over the exact labelled state; no symmetry reduction
-is applied, so cache keys are reproducible strings and can be persisted to
-disk and reloaded across runs.  The principal variation always plays the least
-winning move for the side to move (least move at all in lost positions), and
-every solve asserts that its terminal agrees with the reported winner.
+graph's universe.  A gcds state is a graph: its vertices and adjacency rows
+are bit masks over the root graph's labels, and a move pivots them with mask
+operations into a child over the same labels, without the validating
+constructor (graphs.py).  A graph's key text is rendered from the bits once,
+and the mask of the last favorable set asked for is kept on the universe that
+owns the bits; :func:`graph_state_key` reads both.  The gcds successor memo is
+keyed by a graph's bits and its universe, and universes are equal when their
+labels are, type by type (see graphs.py), so a root rebuilt on the same labels
+meets the same entries and every child a walk meets numbers its root's labels.
+Both successor memos are shared by every search in the process, the cds memo
+also by :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the
+cds move graph through ``CdsGame.moves`` and :func:`successor`.  A memo
+charges each state its full fan-out and is emptied when a new state would take
+the charge past MEMO_CHILDREN (2**16), so it never holds more children than
+that or one state's fan-out; :func:`clear_memos` empties both memos and
+:func:`memo_stats` reports on them.
+
+One memoised walk over the exact labelled states (no symmetry reduction)
+values a state for many favorable sets at once: an int with one bit per set,
+set where ONE wins.  ONE to move ORs its children's values and TWO ANDs them,
+each stopping at the value that settles the state; only the children visited
+are built, in move order.  The size-checked solvers :func:`solve_cds` and
+:func:`solve_gcds` track the one set A, so they stop at the first winning
+move, and keep winners in a :class:`SolveCache` under reproducible string
+keys, which can be saved and reloaded.  The principal variation plays the
+least winning move for the side to move (least move at all in lost positions)
+and must end at the reported winner.  :func:`winning_sets` tracks every set
+over the universe, for the exhaustive suites.
 """
 
 from __future__ import annotations
@@ -180,19 +177,25 @@ def perm_state_key(perm: Permutation, favorable: frozenset, mover: str) -> str:
     return f"P|{perm.word()}|{fs}|{1 if mover == ONE else 2}"
 
 
+# A winner as the search walk values it (1 where ONE wins), as a SolveCache keeps it.
+_VALUES = {ONE: 1, TWO: 0}
+_WINNERS = (TWO, ONE)
+
+
 class SolveCache:
     """Maps canonical state keys to winners; shareable between solves."""
 
     __slots__ = ("_table",)
 
     def __init__(self):
-        self._table: dict[str, str] = {}
+        self._table: dict[str, int] = {}
 
     def get(self, key: str) -> str | None:
-        return self._table.get(key)
+        value = self._table.get(key)
+        return None if value is None else _WINNERS[value]
 
     def put(self, key: str, winner: str) -> None:
-        self._table[key] = winner
+        self._table[key] = _VALUES[winner]
 
     def __len__(self) -> int:
         return len(self._table)
@@ -200,21 +203,21 @@ class SolveCache:
     def __contains__(self, key: str) -> bool:
         return key in self._table
 
-    def items(self):
-        return self._table.items()
+    def items(self) -> list:
+        return [(key, _WINNERS[value]) for key, value in self._table.items()]
 
     def merge(self, other: "SolveCache") -> int:
         """Adopt every entry of ``other``, or none of them when a key has
         another winner here (CacheFormatError); returns how many keys were new."""
-        table = self._table
-        for key, winner in other.items():
-            if table.get(key, winner) != winner:
+        table, theirs = self._table, other._table
+        for key, value in theirs.items():
+            if table.get(key, value) != value:
                 raise CacheFormatError(
                     f"conflicting winners for key {key!r}: "
-                    f"{table[key]} vs {winner}"
+                    f"{_WINNERS[table[key]]} vs {_WINNERS[value]}"
                 )
         before = len(table)
-        table.update(other.items())
+        table.update(theirs)
         return len(table) - before
 
 
@@ -478,56 +481,66 @@ class GcdsGame(Record):
 
 
 # ---------------------------------------------------------------------------
-# The search engine: negamax with a memo, then the principal variation.
+# The search engine: one memoised walk, then the principal variation.
 
-class _Stats:
-    __slots__ = ("expanded", "hits")
+class _Walk:
+    """The search walk: ``walk(state, mover, depth)`` keys a visit by
+    ``game.key`` and reads it by ``get``, else values it by ``leaf`` (None off
+    a terminal) or its moves, ONE stopping at ``full`` and TWO at 0, and keeps
+    it by ``put``.  ``expanded`` and ``hits`` count the two kinds of visit.  A
+    recursive closure would be a cycle that keeps a solve's cache alive."""
 
-    def __init__(self) -> None:
-        self.expanded = 0
-        self.hits = 0
+    __slots__ = ("game", "get", "put", "leaf", "full", "expanded", "hits")
 
+    def __init__(self, game, get, put, leaf, full: int) -> None:
+        self.game, self.get, self.put, self.leaf, self.full = game, get, put, leaf, full
+        self.expanded = self.hits = 0
 
-def _value(game, state, mover: str, cache: SolveCache, stats: _Stats, depth: int = 0) -> str:
-    key = game.key(state, mover)
-    winner = cache.get(key)
-    if winner is not None:
-        stats.hits += 1
-        return winner
-    stats.expanded += 1
-    winner = game.outcome(state)
-    if winner is None:
-        winner = opponent(mover)
-        bound = game.variant(state, depth)
-        entry = game.moves(state)
-        for i in range(len(entry[0])):
-            after = successor(game, state, entry, i)
-            assert 0 <= game.variant(after, depth + 1) < bound  # every move makes progress
-            if _value(game, after, opponent(mover), cache, stats, depth + 1) == mover:
-                winner = mover
-                break
-    cache.put(key, winner)
-    return winner
+    def walk(self, state, mover: str, depth: int) -> int:
+        game = self.game
+        key = game.key(state, mover)
+        value = self.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        self.expanded += 1
+        value = self.leaf(state)
+        if value is None:
+            one = mover == ONE
+            value, settled = (0, self.full) if one else (self.full, 0)
+            bound = game.variant(state, depth)
+            entry = game.moves(state)
+            for i in range(len(entry[0])):
+                after = successor(game, state, entry, i)
+                assert 0 <= game.variant(after, depth + 1) < bound  # every move makes progress
+                child = self.walk(after, TWO if one else ONE, depth + 1)
+                value = value | child if one else value & child
+                if value == settled:
+                    break
+        self.put(key, value)
+        return value
 
 
 def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
     if cache is None:
         cache = SolveCache()
-    stats = _Stats()
-    winner = _value(game, root, mover, cache, stats)
+    table = cache._table
+    search = _Walk(game, table.get, table.__setitem__,
+                   lambda state: _VALUES.get(game.outcome(state)), 1)
+    winner = ONE if search.walk(root, mover, 0) else TWO
     pv, state = [], root
     while (final := game.outcome(state)) is None:
         entry = game.moves(state)
         for i in range(len(entry[0])):
             after = successor(game, state, entry, i)
-            if _value(game, after, opponent(mover), cache, stats, len(pv) + 1) == mover:
+            if search.walk(after, opponent(mover), len(pv) + 1) == _VALUES[mover]:
                 break
         else:
             i, after = 0, entry[1][0]
         pv.append(entry[0][i])
         state, mover = after, opponent(mover)
     assert final == winner, "principal variation ends at the reported winner"
-    return SolveReport(winner, tuple(pv), stats.expanded, stats.hits)
+    return SolveReport(winner, tuple(pv), search.expanded, search.hits)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +584,13 @@ def winning_sets(game, state, mover: str) -> int:
     S is a mask over ``game.universe(state)``, which holds at most
     MAX_UNIVERSE codes or labels: bit c-1 is code c of a word, bit i is
     label i of a graph's universe.  Bit S of the result is set when ONE wins
-    from ``state`` with ``mover`` to move and favorable set S.  A terminal
-    is won for the sets that include the mask ``game.needs`` names, when
-    that is not 0, else for none; ONE to move ORs its children's values and
-    TWO ANDs them, stopping once none is left.  States and children come
-    from the successor memos, and each visit is keyed by ``game.key`` with
-    no favorable set.  Values are kept for roots of one universe and dropped
-    when a root of another comes, or when they would pass MEMO_SETS.
+    from ``state`` with ``mover`` to move and favorable set S: the search
+    walk's value, where a terminal is won for the sets that include the mask
+    ``game.needs`` names, when that is not 0, else for none.  The empty set
+    never wins, so ONE's OR visits every child.  Each visit is keyed by
+    ``game.key`` with no favorable set.  Values are kept for roots of one
+    universe and dropped when a root of another comes, or when they would
+    pass MEMO_SETS.
     """
     universe = game.universe(state)
     k = len(universe)
@@ -590,37 +603,24 @@ def winning_sets(game, state, mover: str) -> int:
         held = _SET_MEMOS[game] = [universe, {}, 0]
     table = held[1]
     cost = 1 + ((1 << k) >> 11)
-    blank = game(frozenset())
-    key_of, needs, moves = blank.key, game.needs, game.moves
 
-    def walk(state, mover: str) -> int:
-        key = key_of(state, mover)
-        value = table.get(key)
-        if value is not None:
-            return value
-        need = needs(state)
-        if need is not None:
-            value = full if need else 0
-            for i in _bits(need):
-                value &= patterns[i]
-        elif mover == ONE:
-            value, entry = 0, moves(state)
-            for i in range(len(entry[0])):
-                value |= walk(successor(game, state, entry, i), TWO)
-        else:
-            value, entry = full, moves(state)
-            for i in range(len(entry[0])):
-                value &= walk(successor(game, state, entry, i), ONE)
-                if not value:
-                    break
+    def leaf(state) -> int | None:
+        need = game.needs(state)
+        if not need:
+            return need  # None off a terminal; 0 where no set wins
+        value = full
+        for i in _bits(need):
+            value &= patterns[i]
+        return value
+
+    def put(key: str, value: int) -> None:
         if held[2] + cost > MEMO_SETS:
             table.clear()
             held[2] = 0
         held[2] += cost
         table[key] = value
-        return value
 
-    return walk(state, mover)
+    return _Walk(game(frozenset()), table.get, put, leaf, full).walk(state, mover, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,9 @@ class SuiteResult:
     """Outcome of one verification suite, recorded on as the suite runs.
 
     ``cases`` counts the checks made and ``failures`` describes those that
-    failed; ``elapsed`` is the suite's wall time in seconds, and ``phases``
-    the wall seconds of each named phase the suite times (empty when it
-    times none).
+    failed; a suite is ok when it made a check and none failed.  ``elapsed``
+    is the suite's wall time in seconds, and ``phases`` the wall seconds of
+    each named phase the suite times (empty when it times none).
     """
 
     __slots__ = ("name", "cases", "failures", "notes", "elapsed", "phases")
@@ -112,7 +112,7 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.cases > 0 and not self.failures
 
     def check(self, ok: bool, describe) -> None:
         self.cases += 1
@@ -825,6 +825,8 @@ def run_suite(
     result = SuiteResult(name)
     start = time.perf_counter()
     _RUNNERS[name](result, seed=seed, max_n=max_n, max_m=max_m, samples=samples, threads=threads)
+    if not result.cases:
+        result.note("no case ran at these sizes, so nothing was checked")
     result.elapsed = time.perf_counter() - start
     return result
 

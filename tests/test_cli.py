@@ -286,6 +286,20 @@ def test_exit_code_verification(capsys):
     assert len(doc["suites"][0]["failures"]) == 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain-collapse", "--max-m", "1"],
+    ["np-classification", "--max-m", "0"],
+    ["pile-lemma", "--max-n", "0"],
+    ["commutation", "--max-n", "1", "--samples", "0"],
+])
+def test_a_suite_that_checks_nothing_is_not_ok(capsys, argv):
+    code, doc = run_cli(capsys, "verify", *argv)
+    assert code == 3 and doc["ok"] is False
+    (suite,) = doc["suites"]
+    assert suite["cases"] == 0 and suite["failures"] == [] and suite["ok"] is False
+    assert suite["notes"][-1] == "no case ran at these sizes, so nothing was checked"
+
+
 def test_verify_refuses_an_oversized_max_n_at_once(capsys):
     for suite in ("commutation", "pile-lemma", "bounds", "tight"):
         start = time.perf_counter()

@@ -787,6 +787,18 @@ def _assert_graph_sets_match_per_set_solves(graph):
             assert (ONE if won >> s & 1 else TWO) == expected, (graph, favorable, mover)
 
 
+def test_solves_and_winning_sets_assert_that_every_move_makes_progress(monkeypatch):
+    # Both run the one search walk, which asserts that each move lowers the
+    # game's variant.
+    monkeypatch.setattr(CdsGame, "variant", lambda self, perm, depth: perm.n)
+    clear_memos()
+    with pytest.raises(AssertionError):
+        solve_cds(CdsState(Permutation([2, 4, 1, 3]), frozenset({1}), ONE))
+    with pytest.raises(AssertionError):
+        winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE)
+    clear_memos()
+
+
 def test_winning_sets_match_per_set_solves_up_to_six():
     clear_memos()
     assert sum(_assert_winning_sets_match_per_set_solves(n) for n in range(2, 7)) == 6180

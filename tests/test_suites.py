@@ -254,8 +254,13 @@ def test_run_all_covers_every_suite():
 
 def test_max_n_above_the_bound_is_refused_before_any_work(monkeypatch):
     seen = []
+
+    def stub(rec, **knobs):
+        rec.check(True, "")
+        seen.append(knobs["max_n"])
+
     for name in SUITE_NAMES:
-        monkeypatch.setitem(suites._RUNNERS, name, lambda rec, **knobs: seen.append(knobs["max_n"]))
+        monkeypatch.setitem(suites._RUNNERS, name, stub)
     for name in SUITE_NAMES:
         with pytest.raises(SizeBoundError):
             run_suite(name, max_n=SUITE_MAX_N + 1)
@@ -265,8 +270,13 @@ def test_max_n_above_the_bound_is_refused_before_any_work(monkeypatch):
 
 def test_negative_sizes_are_refused_before_any_work(monkeypatch):
     seen = []
+
+    def stub(rec, **knobs):
+        rec.check(True, "")
+        seen.append(knobs)
+
     for name in SUITE_NAMES:
-        monkeypatch.setitem(suites._RUNNERS, name, lambda rec, **knobs: seen.append(knobs))
+        monkeypatch.setitem(suites._RUNNERS, name, stub)
     for name in SUITE_NAMES:
         for knob in ("max_n", "max_m", "samples"):
             with pytest.raises(ValueError, match=f"{knob} must be >= 0, got -1"):
