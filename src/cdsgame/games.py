@@ -527,7 +527,7 @@ def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
     table = cache._table
     search = _Walk(game, table.get, table.__setitem__,
                    lambda state: _VALUES.get(game.outcome(state)), 1)
-    winner = ONE if search.walk(root, mover, 0) else TWO
+    winner = _WINNERS[search.walk(root, mover, 0)]
     pv, state = [], root
     while (final := game.outcome(state)) is None:
         entry = game.moves(state)
