@@ -22,15 +22,18 @@ terminal rule is its ``outcome``: :func:`cds_terminal_winner` and
 :func:`gcds_terminal_winner` call it, and ``needs(state)`` states it for every
 favorable set at once, as the mask A must include for ONE to win, over
 ``universe(state)``: bit c-1 is code c of a word, bit i is label i of a
-graph's universe.  A gcds state is a graph: its vertices and adjacency rows
-are bit masks over the root graph's labels, and a move pivots them with mask
-operations into a child over the same labels, without the validating
-constructor (graphs.py).  A graph's key text is rendered from the bits once,
-and the mask of the last favorable set asked for is kept on the universe that
-owns the bits; :func:`graph_state_key` reads both.  The gcds successor memo is
-keyed by a graph's bits and its universe, and universes are equal when their
-labels are, type by type (see graphs.py), so a root rebuilt on the same labels
-meets the same entries and every child a walk meets numbers its root's labels.
+graph's universe.  A cds move came off the overlap rows, so it interlocks:
+``CdsGame.make`` block-swaps the entry tuple and builds the child without the
+validating constructor (permutations.py).  A gcds state is a graph: its
+vertices and adjacency rows are bit masks over the root graph's labels, and a
+move pivots them with mask operations into a child over the same labels,
+without the validating constructor (graphs.py).  A graph's key text is
+rendered from the bits once, and the mask of the last favorable set asked for
+is kept on the universe that owns the bits; :func:`graph_state_key` reads
+both.  The gcds successor memo is keyed by a graph's bits and its universe,
+and universes are equal when their labels are, type by type (see graphs.py),
+so a root rebuilt on the same labels meets the same entries and every child a
+walk meets numbers its root's labels.
 Both successor memos are shared by every search in the process, the cds memo
 also by :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the
 cds move graph through ``CdsGame.moves`` and :func:`successor`.  A memo
@@ -62,8 +65,9 @@ from .graphs import Graph, Position, _bits
 from .permutations import (
     Permutation,
     SizeBoundError,
+    _from_entries,
     _move_list,
-    apply_cds,
+    _swap,
     is_fixed_point,
 )
 from .record import Record
@@ -172,8 +176,19 @@ def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
     return f"G|{text}|{fs}|{1 if mover == ONE else 2}"
 
 
+# The last frozenset of favorable codes perm_state_key rendered, and its text.
+_rendered: tuple = (None, "")
+
+
 def perm_state_key(perm: Permutation, favorable: frozenset, mover: str) -> str:
-    fs = ",".join(str(c) for c in sorted(favorable))
+    """``P|word|favorable|mover``; a solve asks for one favorable set at
+    every node, so the text of the last frozenset is kept for that object."""
+    global _rendered
+    held, fs = _rendered
+    if favorable is not held:
+        fs = ",".join(map(str, sorted(favorable)))
+        if type(favorable) is frozenset:
+            _rendered = (favorable, fs)
     return f"P|{perm.word()}|{fs}|{1 if mover == ONE else 2}"
 
 
@@ -366,7 +381,7 @@ def _successor_memo(moves_of, key_of=None):
     return lookup
 
 
-_cds_successors = _successor_memo(_move_list)
+_cds_successors = _successor_memo(lambda perm: _move_list(perm.entries), attrgetter("entries"))
 _gcds_successors = _successor_memo(Graph.edge_list, attrgetter("alive", "rows", "universe"))
 _MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
 
@@ -432,7 +447,9 @@ class CdsGame(Record):
 
     @staticmethod
     def make(perm: Permutation, move: tuple) -> Permutation:
-        return apply_cds(perm, *move)
+        swapped = _swap(perm.entries, *move)
+        assert swapped is not None  # the move came off the overlap rows, so it interlocks
+        return _from_entries(swapped)
 
     def variant(self, perm: Permutation, depth: int) -> int:
         return perm.n - depth  # game length never exceeds n

@@ -12,7 +12,7 @@ the rows.
 from __future__ import annotations
 
 from .graphs import Graph, _from_rows, _pivot
-from .permutations import Permutation, _overlap_rows, apply_cds
+from .permutations import Permutation, _checked_swap, _overlap_rows
 
 __all__ = ["overlap_graph", "check_commutation"]
 
@@ -26,12 +26,13 @@ def check_commutation(perm: Permutation, p: int, q: int) -> bool:
     """Does overlap(cds_{p,q}(perm)) equal gcds(overlap(perm), {p, q})?
 
     Compares adjacency rows over the vertex codes 1..n-1: the parent's
-    rows pivoted at {p, q} (graphs._pivot) against the child's rows, which
-    is exact equality of the two labelled graphs.  ``apply_cds`` validates
-    p and q first, so a pair that does not interlock raises
+    rows pivoted at {p, q} (graphs._pivot) against the rows of the swapped
+    entry tuple, which is exact equality of the two labelled graphs; no
+    child Permutation is built.  p and q are validated first, as
+    ``apply_cds`` validates them, so a pair that does not interlock raises
     NotApplicableError.
     """
-    child = apply_cds(perm, p, q)
+    swapped = _checked_swap(perm, p, q)
     rows = _overlap_rows(perm.entries)
     _pivot(rows, p - 1, q - 1)
-    return rows == _overlap_rows(child.entries)
+    return rows == _overlap_rows(swapped)

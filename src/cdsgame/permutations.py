@@ -22,9 +22,14 @@ edges of a circle graph (Gavril 1973), the overlap graph of the word.
 One left-to-right sweep over the slots gives that graph as adjacency rows,
 one bit mask per pointer; :func:`legal_moves` reads its pairs off the rows,
 and overlap.py builds its graphs and checks its squares on them.
-:func:`apply_cds` is one block swap (``_swap``, which works on the bare
-entry tuple): the four slots of p and q cut the word into five blocks, and
-the second and fourth trade places.
+A cds move is one block swap (``_swap``, which works on the bare entry
+tuple): the four slots of p and q cut the word into five blocks, and the
+second and fourth trade places.  :func:`apply_cds` is the validating entry
+point: it checks both pointers and that they interlock, and builds the child
+through the validating constructor.  The solver, whose moves come off the
+overlap rows and so interlock, builds its children from ``_swap`` through
+the trusted constructor ``_from_entries``, which skips the per-entry checks
+that a block swap of a permutation cannot fail.
 :func:`interlocks` and :func:`pointer_occurrences` stay as the pairwise
 reference.
 
@@ -151,6 +156,20 @@ class Permutation:
     def position_of(self, value: int) -> int:
         """1-based position of ``value`` in the word."""
         return self.entries.index(value) + 1
+
+
+# A tuple already known to be a permutation of 1..n (a block swap of one, or
+# a word of ``itertools.permutations``) is made through the slot setters,
+# past the checks of __init__, as graphs._fill makes graphs.
+_new = object.__new__
+_set_entries, _set_word = (Permutation.__dict__[name].__set__ for name in Permutation.__slots__)
+
+
+def _from_entries(entries: tuple[int, ...]) -> Permutation:
+    perm = _new(Permutation)
+    _set_entries(perm, entries)
+    _set_word(perm, None)
+    return perm
 
 
 def identity(n: int) -> Permutation:
@@ -284,14 +303,15 @@ def _pairs(m: int) -> tuple:
     return rows
 
 
-def _move_list(perm: Permutation) -> list[tuple[int, int]]:
-    """The legal moves in sorted order, read off the overlap rows.
+def _move_list(entries: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The legal moves of the word ``entries`` in sorted order, read off the
+    overlap rows.
 
     The list is allocated at its final size and its moves are the shared
     tuples of ``_pairs``, because the solvers' successor memo keeps one list
     per state.
     """
-    rows = _overlap_rows(perm.entries)
+    rows = _overlap_rows(entries)
     pairs = _pairs(len(rows))
     moves: list = [None] * (sum(map(int.bit_count, rows)) >> 1)
     i = 0
@@ -312,7 +332,7 @@ def legal_moves(perm: Permutation) -> set[tuple[int, int]]:
     The pairs are read off the overlap graph's adjacency rows, which one
     left-to-right sweep over the slots gives (see ``_overlap_rows``).
     """
-    return set(_move_list(perm))
+    return set(_move_list(perm.entries))
 
 
 def _swap(e: tuple[int, ...], p: int, q: int) -> tuple[int, ...] | None:
@@ -343,13 +363,9 @@ def _swap(e: tuple[int, ...], p: int, q: int) -> tuple[int, ...] | None:
     return e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:]
 
 
-def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
-    """Apply the cds move indexed by the interlocking pair {p, q}: the block
-    swap of ``_swap``, after checking both pointers and that they interlock.
-
-    After the move each of the two pointers has its values adjacent and in
-    order, so neither pointer interlocks with anything again.
-    """
+def _checked_swap(perm: Permutation, p: int, q: int) -> tuple[int, ...]:
+    """``_swap`` of the entries of ``perm``, after checking both pointers
+    (ValueError) and that they interlock (NotApplicableError)."""
     _check_pointer(perm, p)
     _check_pointer(perm, q)
     swapped = _swap(perm.entries, p, q)
@@ -357,7 +373,18 @@ def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
         raise NotApplicableError(
             f"pointers {p} and {q} do not interlock in {list(perm.entries)}"
         )
-    return Permutation(swapped)
+    return swapped
+
+
+def apply_cds(perm: Permutation, p: int, q: int) -> Permutation:
+    """Apply the cds move indexed by the interlocking pair {p, q}: the block
+    swap of ``_swap``, after checking both pointers and that they interlock,
+    as a validated Permutation.
+
+    After the move each of the two pointers has its values adjacent and in
+    order, so neither pointer interlocks with anything again.
+    """
+    return Permutation(_checked_swap(perm, p, q))
 
 
 def is_fixed_point(perm: Permutation) -> bool:

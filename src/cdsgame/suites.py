@@ -69,6 +69,7 @@ from .permutations import (
     TAIL_LEFT,
     Permutation,
     SizeBoundError,
+    _from_entries,
     _move_list,
     _swap,
     apply_cds,
@@ -347,8 +348,8 @@ def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
     squares, failures = _commutation_worker(
         (perm, p, q)
         for n in range(2, lim + 1)
-        for perm in map(Permutation, all_words(range(1, n + 1)))
-        for p, q in _move_list(perm)
+        for perm in map(_from_entries, all_words(range(1, n + 1)))
+        for p, q in _move_list(perm.entries)
     )
     rec.bulk(squares, failures)
     rec.phases["exhaustive"] = time.perf_counter() - start
@@ -363,7 +364,7 @@ def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
         word = list(range(1, n + 1))
         rng.shuffle(word)
         perm = Permutation(word)
-        moves = _move_list(perm)
+        moves = _move_list(perm.entries)
         if not moves:
             continue
         payload.append((perm, *moves[rng.randrange(len(moves))]))
@@ -427,7 +428,7 @@ def _suite_pile_lemma(rec, *, seed, max_n, max_m, samples, threads):
         for rank, word in enumerate(all_words(range(1, n + 1))):
             before = table[rank]
             dropped = reached = 0
-            moves = _move_list(Permutation(word))
+            moves = _move_list(word)
             failures = []
             for p, q in moves:
                 after = table[_rank(_swap(word, p, q))]

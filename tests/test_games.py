@@ -1,6 +1,7 @@
 """Tests for the two game solvers and the solve cache."""
 
 import os
+import pickle
 import random
 from itertools import combinations, permutations as all_words
 
@@ -746,6 +747,38 @@ def test_cached_word_equals_a_fresh_rendering(entries, favorable):
     fresh = "P|{}|{}|1".format(" ".join(map(str, entries)), ",".join(map(str, sorted(favorable))))
     assert perm_state_key(perm, frozenset(favorable), ONE) == fresh
     assert perm_state_key(perm, frozenset(favorable), ONE) == fresh
+
+
+def test_a_mutated_favorable_set_is_rendered_fresh():
+    perm = Permutation([2, 4, 1, 3])
+    favorable = {1, 3}
+    assert perm_state_key(perm, favorable, ONE) == "P|2 4 1 3|1,3|1"
+    favorable.discard(3)
+    favorable.add(2)
+    assert perm_state_key(perm, favorable, ONE) == "P|2 4 1 3|1,2|1"
+    kept = frozenset({1, 3})
+    assert perm_state_key(perm, kept, TWO) == "P|2 4 1 3|1,3|2"
+    assert perm_state_key(perm, kept, ONE) == "P|2 4 1 3|1,3|1"  # the kept text
+    assert perm_state_key(perm, frozenset({3}), ONE) == "P|2 4 1 3|3|1"
+    assert perm_state_key(perm, frozenset({1, 3}), ONE) == "P|2 4 1 3|1,3|1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_solver_children_equal_validated_children(word):
+    # CdsGame.make skips the validating constructor; its children must be
+    # indistinguishable from apply_cds's.
+    perm = Permutation(word)
+    moves, _ = CdsGame.moves(perm)
+    assert moves == sorted(legal_moves(perm))
+    for move in moves:
+        child, ref = CdsGame.make(perm, move), apply_cds(perm, *move)
+        assert type(child) is Permutation
+        assert child.entries == ref.entries and type(child.entries) is tuple
+        assert child.word() == ref.word() == " ".join(map(str, ref.entries))
+        assert child == ref and ref == child and hash(child) == hash(ref)
+        again = pickle.loads(pickle.dumps(child))
+        assert again == ref and again.entries == ref.entries and again.word() == ref.word()
 
 
 # ---------------------------------------------------------------------------

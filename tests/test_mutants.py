@@ -3,18 +3,23 @@
 A mutant is a kernel recompiled from its own source with one edit and
 patched in wherever a module holds the kernel.  Each edit must match the
 source exactly once, so a mutant that no longer applies fails rather than
-passing unmutated.  The memos are cleared before and after each mutant, so
-no value a mutant computed reaches another test.
+passing unmutated.  The memos and the pile tables are cleared before and
+after each mutant, so no value a mutant computed reaches another test.
+
+The solver builds its cds children from ``_swap`` without the validating
+constructor, so the block-swap and overlap-row kernels are guarded here.
 """
 
 import __future__
 import inspect
 import textwrap
+from itertools import permutations as all_words
 
 import pytest
 
 import test_games
-from cdsgame import games, suites
+from cdsgame import games, overlap, permutations, suites
+from cdsgame.permutations import Permutation, interlocks
 from cdsgame.suites import run_suite
 
 MUTANTS = {
@@ -27,6 +32,20 @@ MUTANTS = {
     "a leaf that ignores need": (games.winning_sets, [
         ("value &= patterns[i]", "pass"),
     ]),
+}
+
+# Mutants of the cds kernels, each with the checks that must all turn red.
+# Rows without their XOR are not symmetric, so everything that lists moves
+# off them fails before it can report; the row oracle names the fault.
+KERNEL_MUTANTS = {
+    "a swap that trades the wrong blocks": (permutations._swap, [
+        ("return e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:]",
+         "return e[:c1] + e[c2:c3] + e[c1:c2] + e[c3:c4] + e[c4:]"),
+    ], ("pinned solve reports", "commutation", "pile-lemma")),
+    "overlap rows without their XOR": (permutations._overlap_rows, [
+        ("rows[v - 2] ^= opened", "rows[v - 2] = opened"),
+        ("rows[v - 1] ^= opened", "rows[v - 1] = opened"),
+    ], ("overlap rows against interlocks",)),
 }
 
 
@@ -47,10 +66,25 @@ def _pinned_reports_hold() -> bool:
     return True
 
 
+def _rows_match_interlocks() -> bool:
+    # Read through the module, where a mutant is patched in.
+    for n in range(1, 6):
+        for word in all_words(range(1, n + 1)):
+            perm = Permutation(word)
+            assert permutations._overlap_rows(word) == [
+                sum(1 << (q - 1) for q in range(1, n) if q != p and interlocks(perm, p, q))
+                for p in range(1, n)
+            ]
+    return True
+
+
 CHECKS = {
     "pinned solve reports": _pinned_reports_hold,
     "tight": lambda: run_suite("tight", max_n=5).ok,
     "bounds": lambda: run_suite("bounds", max_n=5).ok,
+    "commutation": lambda: run_suite("commutation", max_n=5, samples=200).ok,
+    "pile-lemma": lambda: run_suite("pile-lemma", max_n=5).ok,
+    "overlap rows against interlocks": _rows_match_interlocks,
 }
 
 
@@ -61,19 +95,42 @@ def _is_red(check) -> bool:
         return True
 
 
+def _clear():
+    games.clear_memos()
+    suites._pile_table.cache_clear()
+
+
 @pytest.fixture
 def fresh_memos():
-    games.clear_memos()
+    _clear()
     yield
-    games.clear_memos()
+    _clear()
+
+
+def _patch(monkeypatch, kernel, edits) -> None:
+    mutant = _mutant(kernel, edits)
+    for module in (permutations, overlap, games, suites):
+        for attr, value in list(vars(module).items()):
+            if value is kernel:
+                monkeypatch.setattr(module, attr, mutant)
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_every_mutant_turns_a_check_red(monkeypatch, fresh_memos, name):
     kernel, edits = MUTANTS[name]
-    mutant = _mutant(kernel, edits)
-    for module in (games, suites):
-        for attr, value in list(vars(module).items()):
-            if value is kernel:
-                monkeypatch.setattr(module, attr, mutant)
+    _patch(monkeypatch, kernel, edits)
     assert any(_is_red(check) for check in CHECKS.values()), name
+
+
+@pytest.mark.parametrize("name", KERNEL_MUTANTS)
+def test_every_kernel_mutant_turns_its_named_checks_red(monkeypatch, fresh_memos, name):
+    kernel, edits, named = KERNEL_MUTANTS[name]
+    _patch(monkeypatch, kernel, edits)
+    for check in named:
+        _clear()
+        assert _is_red(CHECKS[check]), (name, check)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_every_check_is_green_without_a_mutant(fresh_memos, check):
+    assert not _is_red(CHECKS[check]), check

@@ -5,15 +5,18 @@ from itertools import permutations as all_words
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdsgame.graphs import Graph, apply_gcds
+from cdsgame.graphs import Graph, _pivot, apply_gcds
 from cdsgame.jsonio import graph_to_doc
 from cdsgame.overlap import check_commutation, overlap_graph
 from cdsgame.permutations import (
     NotApplicableError,
     Permutation,
+    _overlap_rows,
     apply_cds,
     identity,
+    interlocks,
     legal_moves,
 )
 
@@ -94,3 +97,27 @@ def test_commutation_sampled_larger():
         assert overlap_graph(apply_cds(perm, p, q)) == apply_gcds(
             overlap_graph(perm), (p, q)
         )
+
+
+def _reference_commutation(perm, p, q):
+    # The square through a validated child Permutation, as the check was
+    # first written.
+    child = apply_cds(perm, p, q)
+    rows = _overlap_rows(perm.entries)
+    _pivot(rows, p - 1, q - 1)
+    return rows == _overlap_rows(child.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.integers(1, n - 1), st.integers(1, n - 1))))
+def test_commutation_on_rows_matches_a_child_permutation_reference(case):
+    word, p, q = case
+    perm = Permutation(word)
+    for a, b in legal_moves(perm):
+        assert check_commutation(perm, a, b) is _reference_commutation(perm, a, b) is True
+    if p == q or not interlocks(perm, p, q):
+        with pytest.raises(NotApplicableError, match=f"pointers {p} and {q} do not interlock"):
+            check_commutation(perm, p, q)
+    else:
+        assert check_commutation(perm, p, q) is _reference_commutation(perm, p, q)
