@@ -14,8 +14,9 @@ Both games are finite alternating win/loss games, and one engine solves them.
 A game object (CdsGame, GcdsGame) holds the favorable set, takes a bare
 Permutation or a :class:`~cdsgame.graphs.Graph` as the state and supplies what
 the engine reads: ``key(state, mover)``, ``outcome(state)`` (the winner at a
-terminal, else None), ``moves(state)`` (the state's successor-memo entry: its
-sorted move list and a list of the children made so far, each made by
+terminal, else None), ``ident(state)`` (its identity in this process),
+``moves(state)`` (its successor-memo entry, kept under its ident: its sorted
+move list and a list of the children made so far, each made by
 ``make(state, move)`` on first use, see :func:`successor`) and
 ``variant(state, depth)`` (a natural number every move lowers).  A game's
 terminal rule is its ``outcome``: :func:`cds_terminal_winner` and
@@ -30,10 +31,10 @@ move pivots them with mask operations into a child over the same labels,
 without the validating constructor (graphs.py).  A graph's key text is
 rendered from the bits once, and the mask of the last favorable set asked for
 is kept on the universe that owns the bits; :func:`graph_state_key` reads
-both.  The gcds successor memo is keyed by a graph's bits and its universe,
-and universes are equal when their labels are, type by type (see graphs.py),
-so a root rebuilt on the same labels meets the same entries and every child a
-walk meets numbers its root's labels.
+both.  A word's ident is its entry tuple and a graph's is its bits and its
+universe, and universes are equal when their labels are, type by type (see
+graphs.py), so a root rebuilt on the same labels meets the same entries and
+every child a walk meets numbers its root's labels.
 Both successor memos are shared by every search in the process, the cds memo
 also by :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the
 cds move graph through ``CdsGame.moves`` and :func:`successor`.  A memo
@@ -52,7 +53,7 @@ move, and keep winners in a :class:`SolveCache` under reproducible string
 keys, which can be saved and reloaded.  The principal variation plays the
 least winning move for the side to move (least move at all in lost positions)
 and must end at the reported winner.  :func:`winning_sets` tracks every set
-over the universe, for the exhaustive suites.
+over the universe, for the exhaustive suites, keyed by ident, not key text.
 """
 
 from __future__ import annotations
@@ -337,9 +338,9 @@ def cds_terminal_winner(perm: Permutation, favorable: frozenset) -> str:
 MEMO_CHILDREN = 1 << 16
 
 
-def _successor_memo(moves_of, key_of=None):
+def _successor_memo(moves_of, key_of):
     """A memo from a state to its entry ``(moves, children)``, keyed by
-    ``key_of(state)`` (the state itself by default).
+    ``key_of(state)``.
 
     ``moves`` is ``moves_of(state)``, the state's moves in the order the
     search tries them; ``children[i]`` is the child after ``moves[i]``, or
@@ -351,7 +352,7 @@ def _successor_memo(moves_of, key_of=None):
     counts = [0, 0, 0]  # hits, misses, children charged to the table
 
     def lookup(state) -> tuple:
-        key = state if key_of is None else key_of(state)
+        key = key_of(state)
         found = table.get(key)
         if found is not None:
             counts[0] += 1
@@ -379,11 +380,6 @@ def _successor_memo(moves_of, key_of=None):
 
     lookup.cache_info, lookup.cache_clear, lookup.stats = cache_info, cache_clear, stats
     return lookup
-
-
-_cds_successors = _successor_memo(lambda perm: _move_list(perm.entries), attrgetter("entries"))
-_gcds_successors = _successor_memo(Graph.edge_list, attrgetter("alive", "rows", "universe"))
-_MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
 
 
 def clear_memos() -> None:
@@ -443,7 +439,8 @@ class CdsGame(Record):
         """The codes 1..n-1 a favorable set is drawn from: bit c-1 is code c."""
         return range(1, perm.n)
 
-    moves = staticmethod(_cds_successors)
+    ident = attrgetter("entries")  # a state's identity in this process
+    moves = staticmethod(_successor_memo(lambda perm: _move_list(perm.entries), ident))
 
     @staticmethod
     def make(perm: Permutation, move: tuple) -> Permutation:
@@ -451,7 +448,8 @@ class CdsGame(Record):
         assert swapped is not None  # the move came off the overlap rows, so it interlocks
         return _from_entries(swapped)
 
-    def variant(self, perm: Permutation, depth: int) -> int:
+    @staticmethod
+    def variant(perm: Permutation, depth: int) -> int:
         return perm.n - depth  # game length never exceeds n
 
 
@@ -486,36 +484,44 @@ class GcdsGame(Record):
         """The root's labels, numbered as the graph's masks number them."""
         return graph.universe.labels
 
-    moves = staticmethod(_gcds_successors)
+    ident = attrgetter("alive", "rows", "universe")  # its bits and what they number
+    moves = staticmethod(_successor_memo(Graph.edge_list, ident))
 
     @staticmethod
     def make(graph: Graph, edge: tuple) -> Graph:
         return graph._pivot_at(*edge, prune=True)
 
-    def variant(self, graph: Graph, depth: int) -> int:
+    @staticmethod
+    def variant(graph: Graph, depth: int) -> int:
         rows = graph.rows
         return len(rows) - rows.count(0)  # vertices with an edge; moves burn them
+
+
+_cds_successors, _gcds_successors = CdsGame.moves, GcdsGame.moves
+_MEMOS = {"cds": _cds_successors, "gcds": _gcds_successors}
 
 
 # ---------------------------------------------------------------------------
 # The search engine: one memoised walk, then the principal variation.
 
 class _Walk:
-    """The search walk: ``walk(state, mover, depth)`` keys a visit by
-    ``game.key`` and reads it by ``get``, else values it by ``leaf`` (None off
-    a terminal) or its moves, ONE stopping at ``full`` and TWO at 0, and keeps
-    it by ``put``.  ``expanded`` and ``hits`` count the two kinds of visit.  A
-    recursive closure would be a cycle that keeps a solve's cache alive."""
+    """The search walk over ``game``'s moves: ``walk(state, mover, depth)``
+    keys a visit by ``key(state, mover)`` and reads it by ``get``, else
+    values it by ``leaf`` (None off a terminal) or its moves, ONE stopping at
+    ``full`` and TWO at 0, and keeps it by ``put``.  ``expanded`` and
+    ``hits`` count the two kinds of visit.  A recursive closure would be a
+    cycle that keeps a solve's cache alive."""
 
-    __slots__ = ("game", "get", "put", "leaf", "full", "expanded", "hits")
+    __slots__ = ("game", "key", "get", "put", "leaf", "full", "expanded", "hits")
 
-    def __init__(self, game, get, put, leaf, full: int) -> None:
-        self.game, self.get, self.put, self.leaf, self.full = game, get, put, leaf, full
+    def __init__(self, game, key, get, put, leaf, full: int) -> None:
+        self.game, self.key, self.get, self.put = game, key, get, put
+        self.leaf, self.full = leaf, full
         self.expanded = self.hits = 0
 
     def walk(self, state, mover: str, depth: int) -> int:
         game = self.game
-        key = game.key(state, mover)
+        key = self.key(state, mover)
         value = self.get(key)
         if value is not None:
             self.hits += 1
@@ -525,11 +531,12 @@ class _Walk:
         if value is None:
             one = mover == ONE
             value, settled = (0, self.full) if one else (self.full, 0)
-            bound = game.variant(state, depth)
+            variant = game.variant
+            bound = variant(state, depth)
             entry = game.moves(state)
             for i in range(len(entry[0])):
                 after = successor(game, state, entry, i)
-                assert 0 <= game.variant(after, depth + 1) < bound  # every move makes progress
+                assert 0 <= variant(after, depth + 1) < bound  # every move makes progress
                 child = self.walk(after, TWO if one else ONE, depth + 1)
                 value = value | child if one else value & child
                 if value == settled:
@@ -542,7 +549,7 @@ def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
     if cache is None:
         cache = SolveCache()
     table = cache._table
-    search = _Walk(game, table.get, table.__setitem__,
+    search = _Walk(game, game.key, table.get, table.__setitem__,
                    lambda state: _VALUES.get(game.outcome(state)), 1)
     winner = _WINNERS[search.walk(root, mover, 0)]
     pv, state = [], root
@@ -567,15 +574,14 @@ def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
 # int, 8 KB at 16 codes.
 MAX_UNIVERSE = 16
 
-# How much one game's winning-set memo may hold, in units of about 256 bytes:
-# an entry (its key, slot and value) costs one unit plus one per 2 KB of
-# value bits.  A new entry that would pass the bound empties that game's
-# table first.  The tight suite at max_n 8 needs about 37,000 (cds) and
-# 17,000 (gcds) units.
+# One game's winning-set memo bound: an entry costs one unit plus one per 2 KB
+# of value bits; an entry that would pass it empties the table first.  By
+# tracemalloc after the tight suite at max_n 8 (successor memos emptied), an
+# entry holds about 180 bytes (cds) or 560 (gcds: its key keeps its root's
+# universe alive), and the tables hold 42,400 and 19,500 units.
 MEMO_SETS = 1 << 18
 
-# Per game class: [the universe of the roots its memo holds values for, the
-# table from state key (with A empty) to value, units charged].
+# Per game class: [the table from (ident, mover) to value, units charged].
 _SET_MEMOS: dict = {}
 _PATTERNS: dict = {}
 
@@ -605,20 +611,17 @@ def winning_sets(game, state, mover: str) -> int:
     walk's value, where a terminal is won for the sets that include the mask
     ``game.needs`` names, when that is not 0, else for none.  The empty set
     never wins, so ONE's OR visits every child.  Each visit is keyed by
-    ``game.key`` with no favorable set.  Values are kept for roots of one
-    universe and dropped when a root of another comes, or when they would
-    pass MEMO_SETS.
+    ``(game.ident(state), mover)``; an ident holds the numbering of the
+    state's bits, so values for roots of every universe share one table per
+    game, which is emptied when it would pass MEMO_SETS.
     """
-    universe = game.universe(state)
-    k = len(universe)
+    k = len(game.universe(state))
     if k > MAX_UNIVERSE:
         raise SizeBoundError(f"winning_sets limited to {MAX_UNIVERSE} codes, got {k}")
     opponent(mover)  # validates
     full, patterns = _patterns(k)
-    held = _SET_MEMOS.get(game)
-    if held is None or held[0] != universe:
-        held = _SET_MEMOS[game] = [universe, {}, 0]
-    table = held[1]
+    held = _SET_MEMOS.setdefault(game, [{}, 0])
+    table, ident = held[0], game.ident
     cost = 1 + ((1 << k) >> 11)
 
     def leaf(state) -> int | None:
@@ -630,14 +633,15 @@ def winning_sets(game, state, mover: str) -> int:
             value &= patterns[i]
         return value
 
-    def put(key: str, value: int) -> None:
-        if held[2] + cost > MEMO_SETS:
+    def put(key: tuple, value: int) -> None:
+        if held[1] + cost > MEMO_SETS:
             table.clear()
-            held[2] = 0
-        held[2] += cost
+            held[1] = 0
+        held[1] += cost
         table[key] = value
 
-    return _Walk(game(frozenset()), table.get, put, leaf, full).walk(state, mover, 0)
+    return _Walk(game, lambda state, mover: (ident(state), mover), table.get, put, leaf,
+                 full).walk(state, mover, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ __all__ = [
     "MasterList",
     "Position",
     "label_key",
-    "key_label",
     "masterlist",
     "apply_gcds",
     "apply_gcds2",
@@ -77,14 +76,6 @@ _KEY_FORBIDDEN = frozenset("|,-\t\n ")
 
 def _is_key_text(s: str) -> bool:
     return bool(s) and not _KEY_FORBIDDEN.intersection(s)
-
-
-def key_label(v: Label) -> str:
-    """``str(v)``, checked to be usable inside a solver state key."""
-    s = str(v)
-    if not _is_key_text(s):
-        raise ValueError(f"vertex label {v!r} cannot be used in a cache key")
-    return s
 
 
 class Graph:
@@ -197,8 +188,8 @@ class Graph:
         vertices' key strings in bit order, then ``a-b`` for each edge in
         :meth:`edge_list` order.  Bit order is ``label_key`` order, so this
         is byte for byte the rendering of ``vertex_list()`` and
-        ``edge_list()``.  A label :func:`key_label` rejects raises every
-        time."""
+        ``edge_list()``.  A vertex without a key string (see
+        :attr:`_Universe.names`) raises every time."""
         text = self._text
         if text is None:
             names, rows = self.universe.names, self.rows
@@ -282,8 +273,8 @@ def _bits(mask: int):
 class _Universe:
     """What the bits of a family of graphs stand for: a root graph's labels
     in ``label_key`` order, the label -> bit index map, and each label's key
-    string (None where :func:`key_label` rejects the label).  A label's key
-    string is its ``str``, unless two labels of the universe have the same
+    string (None where the string is empty or holds a key separator).  A
+    label's key string is its ``str``, unless two labels of the universe have the same
     ``str`` (1 and "1"): then every label is keyed by its ``repr``, so that
     no two states of the universe share a key.
 
@@ -312,9 +303,9 @@ class _Universe:
 
     @property
     def names(self) -> tuple:
-        """Each label's key string, or None for a label :func:`key_label`
-        rejects (or whose ``repr`` it would reject, where labels are keyed
-        by ``repr``); made on first use."""
+        """Each label's key string, or None where its ``str`` (or, where
+        labels are keyed by ``repr``, its ``str`` or its ``repr``) is empty
+        or holds a key separator; made on first use."""
         names = self._names
         if names is None:
             texts = list(map(str, self.labels))

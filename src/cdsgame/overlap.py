@@ -5,8 +5,8 @@ The overlap graph of a permutation of {1..n} has one vertex per pointer code
 legal cds moves.  Both functions here work on the adjacency rows that one
 sweep over the word gives (permutations.py): bit k-1 of a row is pointer k.
 A cds move and the gcds pivot at the matching edge commute with taking
-overlap graphs; ``check_commutation`` tests one instance of that square on
-the rows.
+overlap graphs; ``_square`` tests one instance of that square on the rows,
+for ``check_commutation`` and for the commutation suite.
 """
 
 from __future__ import annotations
@@ -25,14 +25,18 @@ def overlap_graph(perm: Permutation) -> Graph:
 def check_commutation(perm: Permutation, p: int, q: int) -> bool:
     """Does overlap(cds_{p,q}(perm)) equal gcds(overlap(perm), {p, q})?
 
-    Compares adjacency rows over the vertex codes 1..n-1: the parent's
-    rows pivoted at {p, q} (graphs._pivot) against the rows of the swapped
-    entry tuple, which is exact equality of the two labelled graphs; no
-    child Permutation is built.  p and q are validated first, as
-    ``apply_cds`` validates them, so a pair that does not interlock raises
-    NotApplicableError.
+    Exact equality of the two labelled graphs, tested on the adjacency rows
+    over the vertex codes 1..n-1 by ``_square``; no child Permutation is
+    built.  p and q are validated first, as ``apply_cds`` validates them, so
+    a pair that does not interlock raises NotApplicableError.
     """
     swapped = _checked_swap(perm, p, q)
-    rows = _overlap_rows(perm.entries)
-    _pivot(rows, p - 1, q - 1)
-    return rows == _overlap_rows(swapped)
+    return _square(_overlap_rows(perm.entries), p, q, swapped)
+
+
+def _square(rows: list, p: int, q: int, swapped: tuple) -> bool:
+    """Are a word's overlap ``rows``, pivoted at {p, q} (graphs._pivot), the
+    rows of ``swapped``, the word after the move (p, q)?  ``rows`` is kept."""
+    pivoted = rows.copy()
+    _pivot(pivoted, p - 1, q - 1)
+    return pivoted == _overlap_rows(swapped)

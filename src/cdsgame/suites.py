@@ -63,14 +63,14 @@ from .graphs import (
     positions_isomorphic,
 )
 from .jsonio import dump_document, graph_from_doc, graph_to_doc
-from .overlap import check_commutation, overlap_graph
+from .overlap import _square, overlap_graph
 from .permutations import (
     HEAD_RIGHT,
     TAIL_LEFT,
     Permutation,
     SizeBoundError,
-    _from_entries,
     _move_list,
+    _overlap_rows,
     _swap,
     apply_cds,
     fixed_point_code,
@@ -331,14 +331,16 @@ def _suite_paper_examples(rec, *, seed, max_n, max_m, samples, threads):
 # Commutation: sorting a permutation and pivoting its overlap graph commute.
 # ---------------------------------------------------------------------------
 
-def _commutation_worker(squares):
-    """Check each (perm, p, q) square; the count checked and the failures."""
+def _commutation_worker(words):
+    """Check each (entries, moves), sweeping the word's rows once; the count and the failures."""
     checked = 0
     failures = []
-    for perm, p, q in squares:
-        checked += 1
-        if not check_commutation(perm, p, q):
-            failures.append(f"commutation fails at perm={list(perm)} move=({p},{q})")
+    for word, moves in words:
+        rows = _overlap_rows(word)
+        for p, q in moves:
+            checked += 1
+            if not _square(rows, p, q, _swap(word, p, q)):
+                failures.append(f"commutation fails at perm={list(word)} move=({p},{q})")
     return checked, failures
 
 
@@ -346,10 +348,9 @@ def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
     lim = 6 if max_n is None else max_n
     start = time.perf_counter()
     squares, failures = _commutation_worker(
-        (perm, p, q)
+        (word, _move_list(word))
         for n in range(2, lim + 1)
-        for perm in map(_from_entries, all_words(range(1, n + 1)))
-        for p, q in _move_list(perm.entries)
+        for word in all_words(range(1, n + 1))
     )
     rec.bulk(squares, failures)
     rec.phases["exhaustive"] = time.perf_counter() - start
@@ -363,11 +364,10 @@ def _suite_commutation(rec, *, seed, max_n, max_m, samples, threads):
         n = rng.choice((8, 9, 10))
         word = list(range(1, n + 1))
         rng.shuffle(word)
-        perm = Permutation(word)
-        moves = _move_list(perm.entries)
+        moves = _move_list(word)
         if not moves:
             continue
-        payload.append((perm, *moves[rng.randrange(len(moves))]))
+        payload.append((tuple(word), (moves[rng.randrange(len(moves))],)))
     for checked, failures in _fan_out(_commutation_worker, payload, threads):
         rec.bulk(checked, failures)
     rec.phases["sampled"] = time.perf_counter() - start

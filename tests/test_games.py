@@ -226,6 +226,19 @@ def test_cache_load_rejects_corruption(tmp_path):
         cache_load(path)
 
 
+def test_cache_load_reads_a_repeated_key_once(tmp_path):
+    path = tmp_path / "twice.tsv"
+    path.write_text("GCDSCACHE 1\nG|1|||1\tONE\nP|2 1||2\tTWO\nG|1|||1\tONE\n")
+    loaded = cache_load(path)
+    assert len(loaded) == 2
+    assert loaded.get("G|1|||1") == ONE and loaded.get("P|2 1||2") == TWO
+    assert loaded.get("G|2|||1") is None
+    # The same key with the other winner is a corrupted line, named by number.
+    path.write_text("GCDSCACHE 1\nG|1|||1\tONE\nP|2 1||2\tTWO\nG|1|||1\tTWO\n")
+    with pytest.raises(CacheFormatError, match=r"corrupted cache line\(s\): 4$"):
+        cache_load(path)
+
+
 def test_cache_merge_conflicts_are_loud():
     a = SolveCache()
     a.put("G|1|||1", ONE)
@@ -823,7 +836,7 @@ def _assert_graph_sets_match_per_set_solves(graph):
 def test_solves_and_winning_sets_assert_that_every_move_makes_progress(monkeypatch):
     # Both run the one search walk, which asserts that each move lowers the
     # game's variant.
-    monkeypatch.setattr(CdsGame, "variant", lambda self, perm, depth: perm.n)
+    monkeypatch.setattr(CdsGame, "variant", staticmethod(lambda perm, depth: perm.n))
     clear_memos()
     with pytest.raises(AssertionError):
         solve_cds(CdsState(Permutation([2, 4, 1, 3]), frozenset({1}), ONE))
@@ -882,7 +895,6 @@ def test_winning_sets_keep_two_universes_of_one_size_apart():
     clear_memos()
     assert winning_sets(GcdsGame, Graph([1, 2, 3], [(1, 2)]), ONE) == 0b11110000
     assert winning_sets(GcdsGame, Graph([3, 4, 5], [(4, 5)]), ONE) == 0b10101010
-    assert games._SET_MEMOS[GcdsGame][0] == (3, 4, 5)
     clear_memos()
 
 
@@ -909,18 +921,30 @@ def test_winning_sets_refuse_seventeen_codes_before_any_walk():
     assert memo_stats()["cds"] == {"hits": 0, "misses": 0, "states": 0, "children": 0}
 
 
-def test_winning_set_memos_keep_one_scope_per_game():
+def test_winning_sets_render_no_state_key_and_keep_universes_in_one_table(monkeypatch):
+    # Values are kept under (ident, mover), and an ident holds the numbering
+    # of its bits, so two universes of one size share the table.
+    def refuse(*args):
+        raise AssertionError("winning_sets rendered a state key")
+
     clear_memos()
-    winning_sets(CdsGame, Permutation([2, 4, 1, 3]), ONE)
-    winning_sets(CdsGame, Permutation([3, 1, 4, 2]), TWO)
-    winning_sets(GcdsGame, Graph([1, 2, 3], [(1, 2)]), ONE)
-    held = {game: universe for game, (universe, _, _) in games._SET_MEMOS.items()}
-    assert held == {CdsGame: range(1, 4), GcdsGame: (1, 2, 3)}
-    assert {"P|2 4 1 3||1", "P|3 1 4 2||2"} <= set(games._SET_MEMOS[CdsGame][1])
-    winning_sets(CdsGame, Permutation([2, 1, 3]), ONE)  # the next length
-    universe, table, _ = games._SET_MEMOS[CdsGame]
-    assert universe == range(1, 3) and "P|2 1 3||1" in table
-    assert all(len(key.split("|")[1].split()) == 3 for key in table)
+    roots = Graph([1, 2, 3], [(1, 2), (2, 3)]), Graph([3, 4, 5], [(3, 4), (4, 5)])
+    won = {}
+    with monkeypatch.context() as patched:
+        patched.setattr(games, "perm_state_key", refuse)
+        patched.setattr(games, "graph_state_key", refuse)
+        for mover in (ONE, TWO):
+            winning_sets(CdsGame, Permutation([2, 4, 1, 3]), mover)
+            for graph in roots:
+                won[graph, mover] = winning_sets(GcdsGame, graph, mover)
+    table, charged = games._SET_MEMOS[GcdsGame]
+    assert charged == len(table)
+    assert {universe for (_, _, universe), _ in table} == {g.universe for g in roots}
+    for (graph, mover), value in won.items():
+        assert table[GcdsGame.ident(graph), mover] == value
+    assert (Permutation([2, 4, 1, 3]).entries, TWO) in games._SET_MEMOS[CdsGame][0]
+    for graph in roots:
+        _assert_graph_sets_match_per_set_solves(graph)
     clear_memos()
     assert games._SET_MEMOS == {}
 
@@ -930,11 +954,12 @@ def test_winning_set_memos_stay_within_their_bound(monkeypatch):
     every = sum(1 << (c - 1) for c in favorable)
     clear_memos()
     unbounded = winning_sets(CdsGame, alpha, ONE)
+    put = len(games._SET_MEMOS[CdsGame][0])  # each expanded state once
     clear_memos()
-    monkeypatch.setattr(games, "MEMO_SETS", 40)
+    monkeypatch.setattr(games, "MEMO_SETS", 8)
     assert winning_sets(CdsGame, alpha, ONE) == unbounded
-    _, table, charged = games._SET_MEMOS[CdsGame]
-    assert 0 < charged <= 40 and len(table) == charged
+    table, charged = games._SET_MEMOS[CdsGame]
+    assert 0 < charged <= 8 < put and len(table) == charged  # emptied on the way
     assert unbounded >> every & 1  # A = B wins, and no B - {c} does
     assert not any(unbounded >> (every ^ (1 << (c - 1))) & 1 for c in favorable)
     clear_memos()

@@ -1,7 +1,7 @@
 """Mutants of the kernels the suites rely on: each must turn a named check red.
 
 A mutant is a kernel recompiled from its own source with one edit and
-patched in wherever a module holds the kernel.  Each edit must match the
+patched in wherever a module or a game class holds the kernel.  Each edit must match the
 source exactly once, so a mutant that no longer applies fails rather than
 passing unmutated.  The memos and the pile tables are cleared before and
 after each mutant, so no value a mutant computed reaches another test.
@@ -22,16 +22,24 @@ from cdsgame import games, overlap, permutations, suites
 from cdsgame.permutations import Permutation, interlocks
 from cdsgame.suites import run_suite
 
+# Mutants of the search walk and the games' terminal rules, each with the
+# checks that must all turn red.
 MUTANTS = {
     "OR and AND swapped": (games._Walk, [
         ("value | child if one else value & child", "value & child if one else value | child"),
-    ]),
+    ], ("pinned solve reports", "tight", "bounds", "winning sets against per-set solves")),
     "TWO settling at full": (games._Walk, [
         ("else (self.full, 0)", "else (self.full, self.full)"),
-    ]),
+    ], ("pinned solve reports", "tight", "winning sets against per-set solves")),
     "a leaf that ignores need": (games.winning_sets, [
         ("value &= patterns[i]", "pass"),
-    ]),
+    ], ("bounds", "winning sets against per-set solves")),
+    "cds needs returning 0": (games.CdsGame.needs, [
+        ("return 1 << (code - 1) if code else 0", "return 0"),
+    ], ("tight", "bounds", "winning sets against per-set solves")),
+    "gcds needs returning 0": (games.GcdsGame.needs, [
+        ("return graph.alive", "return 0"),
+    ], ("tight", "winning sets against per-set solves")),
 }
 
 # Mutants of the cds kernels, each with the checks that must all turn red.
@@ -66,6 +74,10 @@ def _pinned_reports_hold() -> bool:
     return True
 
 
+def _winning_sets_match_per_set_solves() -> bool:
+    return all(test_games._assert_winning_sets_match_per_set_solves(n) for n in range(2, 5))
+
+
 def _rows_match_interlocks() -> bool:
     # Read through the module, where a mutant is patched in.
     for n in range(1, 6):
@@ -84,6 +96,7 @@ CHECKS = {
     "bounds": lambda: run_suite("bounds", max_n=5).ok,
     "commutation": lambda: run_suite("commutation", max_n=5, samples=200).ok,
     "pile-lemma": lambda: run_suite("pile-lemma", max_n=5).ok,
+    "winning sets against per-set solves": _winning_sets_match_per_set_solves,
     "overlap rows against interlocks": _rows_match_interlocks,
 }
 
@@ -108,27 +121,32 @@ def fresh_memos():
 
 
 def _patch(monkeypatch, kernel, edits) -> None:
+    # A method is held by its class, as a staticmethod around the kernel;
+    # test_games holds what its oracles compare.
     mutant = _mutant(kernel, edits)
-    for module in (permutations, overlap, games, suites):
-        for attr, value in list(vars(module).items()):
-            if value is kernel:
-                monkeypatch.setattr(module, attr, mutant)
+    owners = (permutations, overlap, games, suites, test_games, games.CdsGame, games.GcdsGame)
+    for owner in owners:
+        for attr, value in list(vars(owner).items()):
+            if value is kernel or getattr(value, "__func__", None) is kernel:
+                monkeypatch.setattr(owner, attr, mutant)
 
 
-@pytest.mark.parametrize("name", MUTANTS)
-def test_every_mutant_turns_a_check_red(monkeypatch, fresh_memos, name):
-    kernel, edits = MUTANTS[name]
-    _patch(monkeypatch, kernel, edits)
-    assert any(_is_red(check) for check in CHECKS.values()), name
-
-
-@pytest.mark.parametrize("name", KERNEL_MUTANTS)
-def test_every_kernel_mutant_turns_its_named_checks_red(monkeypatch, fresh_memos, name):
-    kernel, edits, named = KERNEL_MUTANTS[name]
+def _assert_named_checks_red(monkeypatch, name, kernel, edits, named) -> None:
     _patch(monkeypatch, kernel, edits)
     for check in named:
         _clear()
         assert _is_red(CHECKS[check]), (name, check)
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_every_mutant_turns_a_check_red(monkeypatch, fresh_memos, name):
+    assert len(MUTANTS[name][2]) >= 2, "no one suite alone guards the walk"
+    _assert_named_checks_red(monkeypatch, name, *MUTANTS[name])
+
+
+@pytest.mark.parametrize("name", KERNEL_MUTANTS)
+def test_every_kernel_mutant_turns_its_named_checks_red(monkeypatch, fresh_memos, name):
+    _assert_named_checks_red(monkeypatch, name, *KERNEL_MUTANTS[name])
 
 
 @pytest.mark.parametrize("check", CHECKS)
