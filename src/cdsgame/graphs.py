@@ -273,10 +273,10 @@ def _bits(mask: int):
 class _Universe:
     """What the bits of a family of graphs stand for: a root graph's labels
     in ``label_key`` order, the label -> bit index map, and each label's key
-    string (None where the string is empty or holds a key separator).  A
-    label's key string is its ``str``, unless two labels of the universe have the same
-    ``str`` (1 and "1"): then every label is keyed by its ``repr``, so that
-    no two states of the universe share a key.
+    string (None where that is empty or holds a key separator).  A label's
+    key string is its ``str``, unless two labels of the universe have the
+    same ``str`` (1 and "1"): then every label is keyed by its ``repr``, so
+    that no two states of the universe share a key.
 
     Two universes are equal when their labels are, label by label and type
     by type (a universe of 1 and one of True differ).  Graphs over equal

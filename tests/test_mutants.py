@@ -1,9 +1,9 @@
 """Mutants of the kernels the suites rely on: each must turn a named check red.
 
 A mutant is a kernel recompiled from its own source with one edit and
-patched in wherever a module or a game class holds the kernel.  Each edit must match the
-source exactly once, so a mutant that no longer applies fails rather than
-passing unmutated.  The memos and the pile tables are cleared before and
+patched in wherever a module or a game class holds the kernel.  Each edit
+must match the source exactly once, so a mutant that no longer applies
+fails rather than passing unmutated.  The memos and the pile tables are cleared before and
 after each mutant, so no value a mutant computed reaches another test.
 
 The solver builds its cds children from ``_swap`` without the validating
