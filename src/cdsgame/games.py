@@ -17,8 +17,9 @@ the engine reads: ``key(state, mover)``, ``outcome(state)`` (the winner at a
 terminal, else None), ``ident(state)`` (its identity in this process),
 ``moves(state)`` (its successor-memo entry, kept under its ident: its sorted
 move list and a list of the children made so far, each made by
-``make(state, move)`` on first use, see :func:`successor`) and
-``variant(state, depth)`` (a natural number every move lowers).  A game's
+``make(state, move)`` on first use and interned by its ident, see
+:func:`successor`) and ``variant(state, depth)`` (a natural number every move
+lowers).  A game's
 terminal rule is its ``outcome``: :func:`cds_terminal_winner` and
 :func:`gcds_terminal_winner` call it, and ``needs(state)`` states it for every
 favorable set at once, as the mask A must include for ONE to win, over
@@ -29,18 +30,23 @@ validating constructor (permutations.py).  A gcds state is a graph: its
 vertices and adjacency rows are bit masks over the root graph's labels, and a
 move pivots them with mask operations into a child over the same labels,
 without the validating constructor (graphs.py).  A graph's key text is
-rendered from the bits once, and the mask of the last favorable set asked for
-is kept on the universe that owns the bits; :func:`graph_state_key` reads
-both.  A word's ident is its entry tuple and a graph's is its bits and its
-universe, and universes are equal when their labels are, type by type (see
-graphs.py), so a root rebuilt on the same labels meets the same entries and
-every child a walk meets numbers its root's labels.
+rendered from the bits once, and so is the text of the last favorable mask
+it was asked for; the mask of the last favorable set asked for is kept on the
+universe that owns the bits, and :func:`graph_state_key` reads all three.  A
+word's ident is its entry tuple and a graph's is its bits and its universe,
+and universes are equal when their labels are, type by type (see graphs.py),
+so a root rebuilt on the same labels meets the same entries and every child
+a walk meets numbers its root's labels.  Next to its entries each memo keeps
+one object per child's ident: however many parents make a state, their
+entries all hold that one object, which is keyed from one rendering and held
+once, and each copy made later is dropped.
 Both successor memos are shared by every search in the process, the cds memo
 also by :func:`~cdsgame.cyclegraph.achievable_fixed_points`, which walks the
 cds move graph through ``CdsGame.moves`` and :func:`successor`.  A memo
-charges each state its full fan-out and is emptied when a new state would take
-the charge past MEMO_CHILDREN (2**16), so it never holds more children than
-that or one state's fan-out; :func:`clear_memos` empties both memos and
+charges each state its full fan-out and is emptied, with its interned
+children, when a new state would take the charge past MEMO_CHILDREN (2**16),
+so it never holds more children than that or one state's fan-out, nor more
+interned ones than that; :func:`clear_memos` empties both memos and
 :func:`memo_stats` reports on them.
 
 One memoised walk over the exact labelled states (no symmetry reduction)
@@ -172,8 +178,7 @@ def graph_state_key(graph: Graph, favorable: frozenset, mover: str) -> str:
     """``G|vertices|edges|favorable|mover``, rendered from the graph's bits;
     favorable labels outside the graph are left out."""
     text = graph.key_text()  # first, so a bad graph label is the one reported
-    universe = graph.universe
-    fs = universe.render(universe.mask(favorable) & graph.alive)
+    fs = graph._mask_text(graph.universe.mask(favorable) & graph.alive)
     return f"G|{text}|{fs}|{1 if mover == ONE else 2}"
 
 
@@ -331,10 +336,11 @@ def cds_terminal_winner(perm: Permutation, favorable: frozenset) -> str:
 # How many children one successor memo may hold.  A state is charged its full
 # fan-out when it enters; one that would pass the bound empties the table
 # first, and loops already running keep their own entry.  Measured with
-# tracemalloc, the gcds memo holds about 0.7 KB per made child of the
-# 17-vertex chain 8 (the graph, its key text, its share of the entries and
-# move lists) and the cds memo about 0.6 KB per child of B_20, so a full memo
-# is about 45 MB or 40 MB at those sizes.
+# tracemalloc, the gcds memo holds about 0.4 KB per made child of the
+# 17-vertex chain 8 (14,241 made, 3,123 distinct: each distinct graph with
+# its key text, plus every child's share of the entries and move lists) and
+# the cds memo about 0.2 KB per made child of B_20 (12,806 made, 3,287
+# distinct), so a full memo is about 26 MB or 13 MB at those sizes.
 MEMO_CHILDREN = 1 << 16
 
 
@@ -344,11 +350,15 @@ def _successor_memo(moves_of, key_of):
 
     ``moves`` is ``moves_of(state)``, the state's moves in the order the
     search tries them; ``children[i]`` is the child after ``moves[i]``, or
-    None until a caller makes it (see :func:`successor`).  Like an ``lru_cache``,
+    None until a caller makes it (see :func:`successor`).  Next to the
+    entries the memo keeps ``interned``, the one object it holds for each
+    child's ``key_of``, and it empties both together.  Like an ``lru_cache``,
     the memo has ``cache_info()`` = (hits, misses, bound, states held) and
-    ``cache_clear()``; ``stats()`` also counts the children made.
+    ``cache_clear()``; ``stats()`` also counts the children made and the
+    distinct ones interned.
     """
     table: dict = {}
+    interned: dict = {}
     counts = [0, 0, 0]  # hits, misses, children charged to the table
 
     def lookup(state) -> tuple:
@@ -361,6 +371,7 @@ def _successor_memo(moves_of, key_of):
         moves = moves_of(state)
         if counts[2] + len(moves) > MEMO_CHILDREN:
             table.clear()
+            interned.clear()
             counts[2] = 0
         counts[2] += len(moves)
         found = table[key] = (moves, [None] * len(moves))
@@ -371,14 +382,16 @@ def _successor_memo(moves_of, key_of):
 
     def cache_clear() -> None:
         table.clear()
+        interned.clear()
         counts[:] = [0, 0, 0]
 
     def stats() -> dict:
         made = sum(len(children) - children.count(None) for _, children in table.values())
         return {"hits": counts[0], "misses": counts[1], "states": len(table),
-                "children": made}
+                "children": made, "distinct": len(interned)}
 
     lookup.cache_info, lookup.cache_clear, lookup.stats = cache_info, cache_clear, stats
+    lookup.interned = interned
     return lookup
 
 
@@ -391,17 +404,28 @@ def clear_memos() -> None:
 
 
 def memo_stats() -> dict:
-    """Per game: memo hits, misses, states held and children made."""
+    """Per game: memo hits, misses, states held, children made and the
+    distinct children interned."""
     return {name: memo.stats() for name, memo in _MEMOS.items()}
 
 
 def successor(game, state, entry: tuple, i: int):
     """The child after move ``i`` of ``state``, made on first use and kept in
-    the memo ``entry`` that ``game.moves(state)`` returned."""
+    the memo ``entry`` that ``game.moves(state)`` returned.
+
+    A child made is looked up by ``game.ident`` in the memo's intern table,
+    and the entry keeps the object that table already holds for the ident,
+    so each distinct state is one object, its key text rendered once.  The
+    table takes no new object once it holds MEMO_CHILDREN (loops that run
+    past an emptied memo still make children)."""
     moves, children = entry
     made = children[i]
     if made is None:
-        made = children[i] = game.make(state, moves[i])
+        made = game.make(state, moves[i])
+        interned = game.moves.interned
+        if len(interned) < MEMO_CHILDREN:
+            made = interned.setdefault(game.ident(made), made)
+        children[i] = made
     return made
 
 
@@ -577,8 +601,9 @@ MAX_UNIVERSE = 16
 # One game's winning-set memo bound: an entry costs one unit plus one per 2 KB
 # of value bits; an entry that would pass it empties the table first.  By
 # tracemalloc after the tight suite at max_n 8 (successor memos emptied), an
-# entry holds about 180 bytes (cds) or 560 (gcds: its key keeps its root's
-# universe alive), and the tables hold 42,400 and 19,500 units.
+# entry holds about 180 bytes (cds) or 235 (gcds: its key holds a graph's
+# rows, over the one universe its overlap graphs share per length), and the
+# tables hold 42,400 and 19,500 units.
 MEMO_SETS = 1 << 18
 
 # Per game class: [the table from (ident, mover) to value, units charged].

@@ -86,9 +86,10 @@ class Graph:
     built by the constructor has a universe of its own labels; a pivot's
     graph keeps its parent's.  The label views (``vertices``, ``edges``,
     ``adjacency()`` and the sorted lists) are read off the masks; the two
-    label sets and the key text are built on first use and kept."""
+    label sets and the key text are built on first use and kept, and so is
+    the text of the last label mask asked for (:meth:`_mask_text`)."""
 
-    __slots__ = ("alive", "rows", "universe", "_text", "_sets")
+    __slots__ = ("alive", "rows", "universe", "_text", "_sets", "_masked")
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable = ()):
         universe = _Universe(frozenset(vertices))
@@ -213,6 +214,15 @@ class Graph:
             _set_text(self, text)
         return text
 
+    def _mask_text(self, mask: int) -> str:
+        """``universe.render(mask)``, kept for the last mask asked: a solve
+        asks each state it visits for the text of one favorable set's bits."""
+        masked = self._masked
+        if masked is None or masked[0] != mask:
+            masked = (mask, self.universe.render(mask))
+            _set_masked(self, masked)
+        return masked[1]
+
     def relabel(self, mapping: Mapping[Label, Label]) -> "Graph":
         return Graph(
             (mapping[v] for v in self.vertex_list()),
@@ -242,7 +252,7 @@ class Graph:
 # The pivot makes every solver child this way, and the setters are faster
 # than object.__setattr__.
 _new = object.__new__
-_set_alive, _set_rows, _set_universe, _set_text, _set_sets = (
+_set_alive, _set_rows, _set_universe, _set_text, _set_sets, _set_masked = (
     Graph.__dict__[name].__set__ for name in Graph.__slots__)
 
 
@@ -252,14 +262,15 @@ def _fill(g: Graph, alive: int, rows: tuple, universe: "_Universe") -> Graph:
     _set_universe(g, universe)
     _set_text(g, None)
     _set_sets(g, None)
+    _set_masked(g, None)
     return g
 
 
-def _from_rows(vertices: Collection[Label], rows: list) -> Graph:
-    """The graph on ``vertices`` whose i-th vertex in ``label_key`` order
-    has the neighbour mask ``rows[i]``.  The rows must be symmetric and
-    loop-free; they are not checked."""
-    return _fill(_new(Graph), (1 << len(rows)) - 1, tuple(rows), _Universe(vertices))
+def _from_rows(universe: "_Universe", rows: list) -> Graph:
+    """The graph on every label of ``universe`` whose i-th vertex has the
+    neighbour mask ``rows[i]``.  The rows must be symmetric and loop-free;
+    they are not checked."""
+    return _fill(_new(Graph), (1 << len(rows)) - 1, tuple(rows), universe)
 
 
 def _bits(mask: int):

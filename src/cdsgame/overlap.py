@@ -11,15 +11,23 @@ for ``check_commutation`` and for the commutation suite.
 
 from __future__ import annotations
 
-from .graphs import Graph, _from_rows, _pivot
+from .graphs import Graph, _from_rows, _pivot, _Universe
 from .permutations import Permutation, _checked_swap, _overlap_rows
 
 __all__ = ["overlap_graph", "check_commutation"]
 
+# Per word length n, the universe of codes 1..n-1 that every overlap graph of
+# that length shares, so graphs of many words do not each keep their own.
+_UNIVERSES: dict[int, _Universe] = {}
+
 
 def overlap_graph(perm: Permutation) -> Graph:
     """The overlap graph on vertex codes 1..n-1 (edgeless when n <= 2)."""
-    return _from_rows(range(1, perm.n), _overlap_rows(perm.entries))
+    n = perm.n
+    universe = _UNIVERSES.get(n)
+    if universe is None:
+        universe = _UNIVERSES[n] = _Universe(range(1, n))
+    return _from_rows(universe, _overlap_rows(perm.entries))
 
 
 def check_commutation(perm: Permutation, p: int, q: int) -> bool:

@@ -37,6 +37,7 @@ from cdsgame.games import (
 from cdsgame.graphs import Graph, Position, apply_gcds2
 from cdsgame.overlap import overlap_graph
 from cdsgame.permutations import Permutation, apply_cds, identity, legal_moves
+from cdsgame.suites import run_suite
 
 from test_graphs import _reference_apply_gcds2, all_graphs, without_vertices
 
@@ -522,13 +523,14 @@ def test_the_tracer_sees_one_state_key_per_visit(monkeypatch, key_name, run):
 def test_bounded_memo_gives_the_same_reports(monkeypatch):
     clear_memos()
     expected = list(_pinned_solves())
-    bound, fan_out, held = 8, [0], []
+    bound, fan_out, held, interned = 8, [0], [], []
 
     def watch(key):
         def keyed(state, favorable, mover):
             moves = legal_moves(state) if isinstance(state, Permutation) else state.edge_list()
             fan_out[0] = max(fan_out[0], len(moves))
             held.append(max(m["children"] for m in memo_stats().values()))
+            interned.append(max(m["distinct"] for m in memo_stats().values()))
             return key(state, favorable, mover)
         return keyed
 
@@ -538,8 +540,10 @@ def test_bounded_memo_gives_the_same_reports(monkeypatch):
     clear_memos()
     assert list(_pinned_solves()) == expected
     assert max(held) <= bound + fan_out[0]
+    assert 0 < max(interned) <= bound
     assert all(info["states"] <= bound for info in memo_stats().values())
     clear_memos()
+    assert games._cds_successors.interned == games._gcds_successors.interned == {}
 
 
 def test_the_solver_never_calls_the_validating_constructor(monkeypatch):
@@ -575,9 +579,60 @@ def test_clear_memos_empties_both_memos():
     clear_memos()
     assert games._cds_successors.cache_info() == (0, 0, games.MEMO_CHILDREN, 0)
     assert games._gcds_successors.cache_info() == (0, 0, games.MEMO_CHILDREN, 0)
-    assert memo_stats() == {name: {"hits": 0, "misses": 0, "states": 0, "children": 0}
+    assert memo_stats() == {name: {"hits": 0, "misses": 0, "states": 0, "children": 0,
+                                   "distinct": 0}
                             for name in ("cds", "gcds")}
     assert solve_cds(state) == first
+
+
+def _interning_solves():
+    alpha, favorable = tight_instance(16)
+    for fav in (favorable, *(favorable - {c} for c in sorted(favorable))):
+        yield lambda fav=fav: solve_cds(CdsState(alpha, fav, ONE), max_n=16)
+    for m in (6, 7):
+        yield lambda m=m: np_status(Position(gen_chain(m), gen_favorable(m)))
+
+
+def _made_children(game, roots) -> list:
+    """Every child the memo of ``game`` has made below ``roots``."""
+    made, todo, seen = [], list(roots), set()
+    while todo:
+        state = todo.pop()
+        for child in game.moves(state)[1]:
+            if child is not None and id(child) not in seen:
+                seen.add(id(child))
+                made.append(child)
+                todo.append(child)
+    return made
+
+
+def test_each_memo_holds_one_object_per_distinct_state():
+    clear_memos()
+    reports = [solve() for solve in _interning_solves()]
+    roots = {CdsGame: [tight_instance(16)[0]],
+             GcdsGame: [gen_chain(6), gen_chain(7)]}
+    for name, game in (("cds", CdsGame), ("gcds", GcdsGame)):
+        distinct = memo_stats()[name]["distinct"]
+        made = _made_children(game, roots[game])
+        assert len(made) == len({game.ident(child) for child in made}) == distinct > 100
+        assert all(game.moves.interned[game.ident(child)] is child for child in made)
+    fresh = []
+    for solve in _interning_solves():
+        clear_memos()
+        fresh.append(solve())
+    assert fresh == reports
+    clear_memos()
+
+
+def test_graph_state_key_keeps_the_last_favorable_text_per_mask():
+    # The pivot's child keeps the chain's universe, 1..7, without 1 and 2.
+    graph = apply_gcds2(gen_chain(3), (1, 2))
+    a, b = frozenset({3, 4}), frozenset({4, 6})
+    same_mask = (frozenset({2, 4, 5}), frozenset({1, 4, 5, 99}))
+    for favorable in (a, b, a, *same_mask, b):
+        for mover in (ONE, TWO):
+            fresh = graph_state_key(Graph(graph.vertices, graph.edges), favorable, mover)
+            assert graph_state_key(graph, favorable, mover) == fresh
 
 
 def _cross_universe_pairs():
@@ -918,7 +973,8 @@ def test_winning_sets_refuse_seventeen_codes_before_any_walk():
     with pytest.raises(SizeBoundError, match="16 codes, got 17"):
         winning_sets(CdsGame, perm, ONE)
     assert games._SET_MEMOS == {}
-    assert memo_stats()["cds"] == {"hits": 0, "misses": 0, "states": 0, "children": 0}
+    assert memo_stats()["cds"] == {"hits": 0, "misses": 0, "states": 0, "children": 0,
+                                   "distinct": 0}
 
 
 def test_winning_sets_render_no_state_key_and_keep_universes_in_one_table(monkeypatch):
@@ -962,4 +1018,15 @@ def test_winning_set_memos_stay_within_their_bound(monkeypatch):
     assert 0 < charged <= 8 < put and len(table) == charged  # emptied on the way
     assert unbounded >> every & 1  # A = B wins, and no B - {c} does
     assert not any(unbounded >> (every ^ (1 << (c - 1))) & 1 for c in favorable)
+    clear_memos()
+
+
+def test_winning_set_keys_hold_one_universe_per_word_length():
+    # Every overlap graph of one word length shares its universe, so the
+    # gcds table's keys keep one universe per length, not one per root word.
+    clear_memos()
+    assert run_suite("tight", max_n=5).ok
+    table = games._SET_MEMOS[GcdsGame][0]
+    universes = {id(universe): len(universe.labels) for (_, _, universe), _ in table}
+    assert sorted(universes.values()) == [1, 2, 3, 4]
     clear_memos()

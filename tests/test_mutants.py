@@ -6,8 +6,9 @@ must match the source exactly once, so a mutant that no longer applies
 fails rather than passing unmutated.  The memos and the pile tables are cleared before and
 after each mutant, so no value a mutant computed reaches another test.
 
-The solver builds its cds children from ``_swap`` without the validating
-constructor, so the block-swap and overlap-row kernels are guarded here.
+The solvers build their children without the validating constructors, from
+``_swap`` and ``graphs._pivot``, and keep one object per child's ident, so the
+block-swap, overlap-row and pivot kernels and that interning are guarded here.
 """
 
 import __future__
@@ -18,7 +19,7 @@ from itertools import permutations as all_words
 import pytest
 
 import test_games
-from cdsgame import games, overlap, permutations, suites
+from cdsgame import games, graphs, overlap, permutations, suites
 from cdsgame.permutations import Permutation, interlocks
 from cdsgame.suites import run_suite
 
@@ -40,6 +41,9 @@ MUTANTS = {
     "gcds needs returning 0": (games.GcdsGame.needs, [
         ("return graph.alive", "return 0"),
     ], ("tight", "winning sets against per-set solves")),
+    "children interned by a lossy key": (games.successor, [
+        ("game.ident(made)", "len(game.ident(made))"),
+    ], ("pinned solve reports", "tight", "bounds")),
 }
 
 # Mutants of the cds kernels, each with the checks that must all turn red.
@@ -54,6 +58,9 @@ KERNEL_MUTANTS = {
         ("rows[v - 2] ^= opened", "rows[v - 2] = opened"),
         ("rows[v - 1] ^= opened", "rows[v - 1] = opened"),
     ], ("overlap rows against interlocks",)),
+    "the pivot skipping one class": (graphs._pivot, [
+        ("(cy & ~cx, cx), (cx & cy, cx ^ cy))", "(cy & ~cx, cx))"),
+    ], ("pinned solve reports", "commutation", "tight")),
 }
 
 
@@ -124,7 +131,8 @@ def _patch(monkeypatch, kernel, edits) -> None:
     # A method is held by its class, as a staticmethod around the kernel;
     # test_games holds what its oracles compare.
     mutant = _mutant(kernel, edits)
-    owners = (permutations, overlap, games, suites, test_games, games.CdsGame, games.GcdsGame)
+    owners = (permutations, graphs, overlap, games, suites, test_games, games.CdsGame,
+              games.GcdsGame)
     for owner in owners:
         for attr, value in list(vars(owner).items()):
             if value is kernel or getattr(value, "__func__", None) is kernel:
