@@ -91,6 +91,7 @@ __all__ = [
     "NpReport",
     "SolveCache",
     "CacheFormatError",
+    "GameRuleError",
     "graph_state_key",
     "perm_state_key",
     "gcds_terminal_winner",
@@ -244,6 +245,11 @@ class SolveCache:
 
 class CacheFormatError(ValueError):
     """Raised for unreadable or version-mismatched cache files."""
+
+
+class GameRuleError(ValueError):
+    """Raised when a game's ``outcome`` says a state is not over but its
+    ``moves`` list none: the search cannot value such a state."""
 
 
 _CACHE_MAGIC = "GCDSCACHE"
@@ -532,8 +538,9 @@ class _Walk:
     """The search walk over ``game``'s moves: ``walk(state, mover, depth)``
     keys a visit by ``key(state, mover)`` and reads it by ``get``, else
     values it by ``leaf`` (None off a terminal) or its moves, ONE stopping at
-    ``full`` and TWO at 0, and keeps it by ``put``.  ``expanded`` and
-    ``hits`` count the two kinds of visit.  A recursive closure would be a
+    ``full`` and TWO at 0, and keeps it by ``put``; a state it expands that
+    is not over but has no moves raises :class:`GameRuleError`.  ``expanded``
+    and ``hits`` count the two kinds of visit.  A recursive closure would be a
     cycle that keeps a solve's cache alive."""
 
     __slots__ = ("game", "key", "get", "put", "leaf", "full", "expanded", "hits")
@@ -558,6 +565,8 @@ class _Walk:
             variant = game.variant
             bound = variant(state, depth)
             entry = game.moves(state)
+            if not entry[0]:
+                raise _no_moves(game, state, key)
             for i in range(len(entry[0])):
                 after = successor(game, state, entry, i)
                 assert 0 <= variant(after, depth + 1) < bound  # every move makes progress
@@ -567,6 +576,12 @@ class _Walk:
                     break
         self.put(key, value)
         return value
+
+
+def _no_moves(game, state, key) -> GameRuleError:
+    name = (game if isinstance(game, type) else type(game)).__name__
+    return GameRuleError(f"{name}: {state!r}, keyed {key!r}, is not over by its outcome, "
+                         "but it has no moves")
 
 
 def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
@@ -579,6 +594,8 @@ def _solve(game, root, mover: str, cache: SolveCache | None) -> SolveReport:
     pv, state = [], root
     while (final := game.outcome(state)) is None:
         entry = game.moves(state)
+        if not entry[0]:  # a state read from the cache, never expanded here
+            raise _no_moves(game, state, game.key(state, mover))
         for i in range(len(entry[0])):
             after = successor(game, state, entry, i)
             if search.walk(after, opponent(mover), len(pv) + 1) == _VALUES[mover]:

@@ -6,7 +6,12 @@ for sizes where exhaustion is out of reach.  A suite returns a
 :class:`SuiteResult` whose ``failures`` list carries one minimal
 reproducing description per failed case; an empty list means the suite
 passed.  Suites are deterministic for a fixed seed, including under
-``threads > 1`` (work is chunked and merged in input order).
+``threads > 1``.  Only the commutation suite's sampled squares fan out, and
+only to a process pool of at least _POOL_MIN_ITEMS (49,000) squares per
+worker, about ``--samples 100000`` on two workers, the smallest size at
+which two workers beat one on wall in every measured run; work is chunked
+and merged in input order.  Every smaller batch, and every other suite,
+runs in process, where it takes less time than starting a worker.
 """
 
 from __future__ import annotations
@@ -128,16 +133,28 @@ class SuiteResult:
         self.notes.append(text)
 
 
+# The fewest items per worker for which _fan_out starts a process pool.
+# `verify commutation --threads 2` against `--threads 1` on 2 vCPUs (Python
+# 3.11.7, fresh processes, 6 alternating pairs per size) won on wall in 4 of
+# 6 pairs at --samples 50000 (about 25,000 squares per worker), in 5 of 6 at
+# 75000 and in 6 of 6 at 100000 (wall -2 to -9 %, CPU +15 to +26 %) and at
+# 200000 (wall -3 to -17 %).  100000 samples give about 49,990 squares per
+# worker, as the words with no move are skipped, so the gate sits just below.
+_POOL_MIN_ITEMS = 49_000
+
+
 def _fan_out(worker, items: list, threads: int) -> list:
     """Apply ``worker`` to contiguous chunks of ``items``, merged in order.
 
-    With ``threads <= 1`` (or trivially small input) everything runs in
-    process; otherwise chunks go to a process pool of at most one worker per
-    CPU and per item.  Either way the merged result order depends only on the
-    input order, never on scheduling.
+    A process pool starts only when ``items`` holds at least _POOL_MIN_ITEMS
+    items per worker: a worker's start, import and round-trip cost more than
+    a smaller chunk saves.  The pool has at most ``threads`` workers, one per
+    CPU and per item.  Otherwise ``[worker(items)]`` runs in process and no
+    process pool is imported.  Either way the merged result order depends
+    only on the input order, never on scheduling.
     """
     threads = min(threads, os.cpu_count() or 1, len(items))
-    if threads <= 1:
+    if threads <= 1 or len(items) < threads * _POOL_MIN_ITEMS:
         return [worker(items)]
     # Imported here so that importing the package does not load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor

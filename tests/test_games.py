@@ -3,6 +3,7 @@
 import os
 import pickle
 import random
+import re
 from itertools import combinations, permutations as all_words
 
 import pytest
@@ -16,6 +17,7 @@ from cdsgame.games import (
     TWO,
     CacheFormatError,
     CdsGame,
+    GameRuleError,
     CdsState,
     GcdsGame,
     GcdsState,
@@ -1029,4 +1031,38 @@ def test_winning_set_keys_hold_one_universe_per_word_length():
     table = games._SET_MEMOS[GcdsGame][0]
     universes = {id(universe): len(universe.labels) for (_, _, universe), _ in table}
     assert sorted(universes.values()) == [1, 2, 3, 4]
+    clear_memos()
+
+
+def _never_over(base):
+    """``base`` with an outcome that calls no state over, so each of its
+    terminals has no move and yet is not over."""
+    return type(f"NeverOver{base.__name__}", (), {
+        "key": staticmethod(lambda state, mover: f"{state!r}|{mover}"),
+        "outcome": staticmethod(lambda state: None), "needs": staticmethod(lambda state: None),
+        "ident": base.ident, "moves": staticmethod(base.moves), "make": staticmethod(base.make),
+        "variant": staticmethod(base.variant), "universe": staticmethod(base.universe)})
+
+
+@pytest.mark.parametrize("base, root, terminal", [
+    (CdsGame, Permutation((2, 4, 1, 3)), Permutation((4, 1, 2, 3))),
+    (GcdsGame, gen_chain(1), Graph([3], [])),
+])
+def test_a_game_whose_outcome_and_moves_disagree_is_named(base, root, terminal):
+    # The walk names the game and the first state it expands with no move,
+    # in solves and in winning_sets alike, instead of valuing it.
+    game = _never_over(base)
+    named = f"NeverOver{base.__name__}: {terminal!r}, keyed "
+    clear_memos()
+    with pytest.raises(GameRuleError, match="^" + re.escape(
+            named + f"'{terminal!r}|TWO', is not over by its outcome, but it has no moves")):
+        games._solve(game(), root, ONE, None)
+    with pytest.raises(GameRuleError, match="^" + re.escape(named + "((")):
+        winning_sets(game, root, ONE)
+    # A state read from the cache is not expanded, and the principal
+    # variation names it.
+    cache = SolveCache()
+    cache.put(game.key(terminal, ONE), ONE)
+    with pytest.raises(GameRuleError, match="^" + re.escape(named + f"'{terminal!r}|ONE'")):
+        games._solve(game(), terminal, ONE, cache)
     clear_memos()

@@ -1,14 +1,17 @@
 """Mutants of the kernels the suites rely on: each must turn a named check red.
 
 A mutant is a kernel recompiled from its own source with one edit and
-patched in wherever a module or a game class holds the kernel.  Each edit
+patched in wherever a module or a class holds the kernel.  Each edit
 must match the source exactly once, so a mutant that no longer applies
 fails rather than passing unmutated.  The memos and the pile tables are cleared before and
 after each mutant, so no value a mutant computed reaches another test.
 
 The solvers build their children without the validating constructors, from
 ``_swap`` and ``graphs._pivot``, and keep one object per child's ident, so the
-block-swap, overlap-row and pivot kernels and that interning are guarded here.
+block-swap, overlap-row and pivot kernels and that interning are guarded here,
+with the pile walk the pile tables are built from and the universe equality
+that lets a rebuilt root meet its memo entries.  A game that says a state with
+no moves is not over raises GameRuleError, which counts as red.
 """
 
 import __future__
@@ -19,7 +22,8 @@ from itertools import permutations as all_words
 import pytest
 
 import test_games
-from cdsgame import games, graphs, overlap, permutations, suites
+from cdsgame import cyclegraph, games, graphs, overlap, permutations, suites
+from cdsgame.games import GameRuleError
 from cdsgame.permutations import Permutation, interlocks
 from cdsgame.suites import run_suite
 
@@ -46,9 +50,12 @@ MUTANTS = {
     ], ("pinned solve reports", "tight", "bounds")),
 }
 
-# Mutants of the cds kernels, each with the checks that must all turn red.
-# Rows without their XOR are not symmetric, so everything that lists moves
-# off them fails before it can report; the row oracle names the fault.
+# Mutants of the kernels under the games, each with the checks that must all
+# turn red.  Rows without their XOR are not symmetric, so everything that
+# lists moves off them fails before it can report; the row oracle names the
+# fault.  Universes equal only to themselves still give every right answer,
+# as identity is the stricter equality, so no suite sees them; only a root
+# rebuilt on the same labels, which no longer meets its memo entries, does.
 KERNEL_MUTANTS = {
     "a swap that trades the wrong blocks": (permutations._swap, [
         ("return e[:c1] + e[c3:c4] + e[c2:c3] + e[c1:c2] + e[c4:]",
@@ -60,7 +67,13 @@ KERNEL_MUTANTS = {
     ], ("overlap rows against interlocks",)),
     "the pivot skipping one class": (graphs._pivot, [
         ("(cy & ~cx, cx), (cx & cy, cx ^ cy))", "(cy & ~cx, cx))"),
-    ], ("pinned solve reports", "commutation", "tight")),
+    ], ("pinned solve reports", "commutation", "tight", "winning sets against per-set solves")),
+    "a pile walk stopping one step early": (cyclegraph._pile_codes, [
+        ("return tuple(codes)", "return tuple(codes[:-1])"),
+    ], ("pile-lemma", "tight", "winning sets against per-set solves")),
+    "universes equal only to themselves": (graphs._Universe.__eq__, [
+        ("isinstance(other, _Universe) and self._typed == other._typed", "self is other"),
+    ], ("a rebuilt root meets the same memo entries",)),
 }
 
 
@@ -78,6 +91,11 @@ def _mutant(kernel, edits):
 
 def _pinned_reports_hold() -> bool:
     test_games.test_solve_reports_are_pinned()
+    return True
+
+
+def _rebuilt_root_meets_its_entries() -> bool:
+    test_games.test_a_root_rebuilt_on_the_same_labels_meets_the_same_memo_entries()
     return True
 
 
@@ -105,13 +123,14 @@ CHECKS = {
     "pile-lemma": lambda: run_suite("pile-lemma", max_n=5).ok,
     "winning sets against per-set solves": _winning_sets_match_per_set_solves,
     "overlap rows against interlocks": _rows_match_interlocks,
+    "a rebuilt root meets the same memo entries": _rebuilt_root_meets_its_entries,
 }
 
 
 def _is_red(check) -> bool:
     try:
         return not check()
-    except AssertionError:
+    except (AssertionError, GameRuleError):
         return True
 
 
@@ -131,8 +150,8 @@ def _patch(monkeypatch, kernel, edits) -> None:
     # A method is held by its class, as a staticmethod around the kernel;
     # test_games holds what its oracles compare.
     mutant = _mutant(kernel, edits)
-    owners = (permutations, graphs, overlap, games, suites, test_games, games.CdsGame,
-              games.GcdsGame)
+    owners = (permutations, graphs, cyclegraph, overlap, games, suites, test_games,
+              games.CdsGame, games.GcdsGame, graphs._Universe)
     for owner in owners:
         for attr, value in list(vars(owner).items()):
             if value is kernel or getattr(value, "__func__", None) is kernel:

@@ -17,6 +17,8 @@ from cdsgame.permutations import Permutation
 from cdsgame.permutations import SizeBoundError
 from cdsgame.suites import SUITE_MAX_N, SUITE_NAMES, _fan_out, run_all, run_suite
 
+from test_cli import _fresh_import_probe
+
 
 def test_suite_names_are_stable():
     assert SUITE_NAMES == (
@@ -72,37 +74,75 @@ def test_commutation_times_its_two_phases(monkeypatch):
     assert run_suite("formats").phases == {}
 
 
+class _InProcessPool:
+    """Records max_workers and maps in this process; starts nothing."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+
 @pytest.mark.parametrize("cpus, items, workers", [(2, 50, 2), (8, 3, 3), (None, 50, None)])
 def test_fan_out_caps_workers_at_cpus_and_items(monkeypatch, cpus, items, workers):
-    sizes = []
-
-    class InProcessPool:
-        """Records max_workers and maps in this process; starts nothing."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            return map(fn, chunks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # At one item per worker, every batch is above the pool's gate.
+    monkeypatch.setattr(suites, "_POOL_MIN_ITEMS", 1)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     chunks = _fan_out(list, list(range(items)), threads=10_000)
-    assert sizes == ([] if workers is None else [workers])
+    assert _InProcessPool.sizes == ([] if workers is None else [workers])
     assert len(chunks) == (workers or 1)
     assert [x for chunk in chunks for x in chunk] == list(range(items))
 
 
-def test_threaded_runs_match_serial_runs():
+@pytest.mark.parametrize("cpus, short", [(2, 0), (8, 0), (2, 1), (8, 1)])
+def test_fan_out_starts_a_pool_only_at_its_gate_per_worker(monkeypatch, cpus, short):
+    # Every worker gets the gate's items, or the batch is one item short.
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    items = list(range(cpus * suites._POOL_MIN_ITEMS - short))
+    chunks = _fan_out(len, items, threads=10_000)
+    if short:
+        assert _InProcessPool.sizes == [] and chunks == [len(items)]
+    else:
+        assert _InProcessPool.sizes == [cpus] and chunks == cpus * [suites._POOL_MIN_ITEMS]
+
+
+def test_threaded_runs_match_serial_runs(monkeypatch):
+    # With the gate at one square per worker, real worker processes check them.
+    monkeypatch.setattr(suites, "_POOL_MIN_ITEMS", 1)
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = run_suite("commutation", max_n=3, samples=40, seed=9, threads=1)
     threaded = run_suite("commutation", max_n=3, samples=40, seed=9, threads=3)
-    assert (serial.cases, serial.failures) == (threaded.cases, threaded.failures)
+    workers = min(3, os.cpu_count() or 1)
+    assert started == ([] if workers == 1 else [workers])
+    assert (serial.cases, serial.failures, serial.notes) == (
+        threaded.cases, threaded.failures, threaded.notes)
+
+
+def test_a_sampled_batch_below_the_gate_loads_no_process_pool():
+    probe = ("from cdsgame.suites import run_suite\n"
+             "result = run_suite('commutation', max_n=5, samples=2000, threads=2)\n"
+             "print(result.ok, 'concurrent.futures.process' in sys.modules)")
+    assert _fresh_import_probe(probe) == "True False"
 
 
 def test_pile_suite_small():
